@@ -77,14 +77,6 @@ class TildeConnection(LorentzConnection):
         return np.einsum("ijk,j,k->i", self.coeffs(x, y), y, y)
 
 
-def lorentz_coeffs(field):
-    return LorentzConnection(field)
-
-
-def tilde_coeffs(field):
-    return TildeConnection(field)
-
-
 def averaged_table(field, x, moments):
     """Coefficient table of the velocity-averaged Lorentz connection at x.
 
@@ -128,10 +120,6 @@ class AveragedConnection:
 
     def coeffs(self, x, y=None):
         return averaged_table(self.field, x, self.moment_set(x))
-
-
-def averaged_lorentz_coeffs(field, moments):
-    return AveragedConnection(field, moments)
 
 
 class TableConnection:

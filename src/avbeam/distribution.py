@@ -47,8 +47,12 @@ class MomentSet:
             raise ValueError("total weight must be positive")
         p = w / vol
         mean = p @ y
-        second = np.einsum("a,ai,aj->ij", p, y, y)
-        third = np.einsum("a,am,as,al->msl", p, y, y, y)
+        py = p[:, None] * y
+        second = py.T @ y
+        # BLAS products: faster than einsum, and their blocked sums round
+        # less on components of order E^3
+        yy = (y[:, :, None] * y[:, None, :]).reshape(len(y), 16)
+        third = (py.T @ yy).reshape(4, 4, 4)
         return cls(vol, mean, second, third)
 
     @classmethod

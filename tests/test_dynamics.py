@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from avbeam.connections import LorentzConnection, TableConnection
+from avbeam.connections import (LorentzConnection, TableConnection,
+                                averaged_table)
 from avbeam.distribution import delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import (IntegratorConfig, TransportedMoments,
+                             _averaged_acceleration, _stage_rotations,
                              liouville_residual, push_averaged_transported,
                              push_connection, push_lorentz, to_lab_time,
                              transport_ensemble, transport_ensemble_averaged)
@@ -73,6 +76,24 @@ def test_norm_preserved_and_drift_reported():
                        IntegratorConfig(step=1e-3, renormalize=False))
     assert off.stats["max_drift"] < 1e-9  # rk4 drift is tiny but nonzero
     assert off.stats["max_drift"] > 0.0
+
+
+@pytest.mark.parametrize("kw", [dict(step=-1e-3), dict(step=0.0),
+                                dict(method="rk4", step=float("nan")),
+                                dict(method="euler"), dict(method="RK4")])
+def test_integrator_config_rejects_bad_step_and_method(kw):
+    with pytest.raises(ValueError):
+        IntegratorConfig(**kw)
+
+
+def test_rk45_reports_drift_before_projection():
+    """rk45 projects its saved states after the solve; max_drift is the
+    drift of the solve, not the rounding left after that projection."""
+    field = make_preset("constant-B", b=1.0)
+    cfg = IntegratorConfig(method="rk45", tol=1e-6, renormalize=True)
+    rec = push_lorentz(field, np.zeros(4), gyro_initial(5.0), (0.0, 50.0), cfg)
+    assert rec.stats["max_drift"] >= 1e-5
+    assert np.max(np.abs(minkowski(rec.y, rec.y) - 1.0)) < 1e-12
 
 
 def test_push_connection_zero_table_is_straight_line():
@@ -184,3 +205,56 @@ def test_liouville_residual_oracles():
     assert abs(liouville_residual(f, field, x, y)) < 1e-8
     # y^1 is not invariant under a dipole rotation
     assert abs(liouville_residual(lambda x, y: y[1], field, x, y)) > 0.1
+
+
+@pytest.mark.parametrize("preset, kw", [("normal-dipole", {"b0": 1.0}),
+                                        ("normal-quad+dipole", {})])
+@pytest.mark.parametrize("bunch", ["cap", "delta"])
+def test_averaged_acceleration_matches_table_contraction(preset, kw, bunch):
+    """The directly contracted averaged spray equals the contraction of the
+    averaged coefficient table of the transported moments, off shell too."""
+    field = make_preset(preset, **kw)
+    if bunch == "cap":
+        ens = rapidity_cap(300, r0=1.2, r_cap=0.1, seed=4)
+    else:
+        ens = delta_ensemble(v=(1.5, 0.4, -0.2), n=3)
+    tm = TransportedMoments(field, ens.moments())
+    rng = np.random.default_rng(7)
+    for s in (0.0, 0.4, 1.3):
+        x = 0.2 * rng.normal(size=4)
+        y = 1.1 * ens.y[1] + 0.05 * rng.normal(size=4)
+        assert abs(minkowski(y, y) - 1.0) > 1e-2
+        table = averaged_table(field, x, tm.at_tau(s))
+        want = -np.einsum("ijk,j,k->i", table, y, y) / np.sqrt(minkowski(y, y))
+        got = _averaged_acceleration(field.mixed(x), tm.rotation(s),
+                                     tm.m0.mean, tm.m0.third, y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stage_rotation_recurrence_matches_expm():
+    field = make_preset("normal-dipole", b0=1.0)
+    tm = TransportedMoments(field, rapidity_cap(20, r0=1.0, r_cap=0.1,
+                                                seed=1).moments())
+    s0, h = 0.25, 5e-3
+    rotation = _stage_rotations(tm, s0, h)
+    for k in range(20001):
+        s = s0 + k * 0.5 * h
+        R = rotation(s)
+        assert rotation(s) is R          # repeated stage: no new step
+        if k % 2500 == 0:
+            exact = expm(tm.F * s)
+            assert np.max(np.abs(R - exact)) <= 1e-11 * np.max(np.abs(exact))
+    with pytest.raises(ValueError):
+        rotation(s + 2.0 * h)
+
+
+def test_push_averaged_transported_rk45_matches_rk4():
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = rapidity_cap(200, r0=1.5, r_cap=0.05, seed=3)
+    x0, y0 = np.zeros(4), ens.y[0]
+    r4 = push_averaged_transported(field, x0, y0, ens.moments(), (0.0, 1.0),
+                                   IntegratorConfig(step=1e-3))
+    r45 = push_averaged_transported(field, x0, y0, ens.moments(), (0.0, 1.0),
+                                    IntegratorConfig(method="rk45", tol=1e-11))
+    assert np.max(np.abs(r4.x[-1] - r45.x[-1])) < 1e-8
+    assert np.max(np.abs(r4.y[-1] - r45.y[-1])) < 1e-8
