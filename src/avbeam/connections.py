@@ -77,6 +77,10 @@ class TildeConnection(LorentzConnection):
         return np.einsum("ijk,j,k->i", self.coeffs(x, y), y, y)
 
 
+#: eta_js eta_kl as a (4, 4) sign table: lowers the last two indices of <y y y>
+_ETA_ETA = np.outer(np.diag(ETA), np.diag(ETA))
+
+
 def averaged_table(field, x, moments):
     """Coefficient table of the velocity-averaged Lorentz connection at x.
 
@@ -87,18 +91,15 @@ def averaged_table(field, x, moments):
     to the pointwise Lorentz coefficients.
     """
     Fm = field.mixed(x)
-    mlow = lower(moments.mean)
-    third_low = np.einsum("msl,s,l->msl", moments.third,
-                          np.array([1.0, -1.0, -1.0, -1.0]),
-                          np.array([1.0, -1.0, -1.0, -1.0]))
-    L_avg = -(np.einsum("ij,k->ijk", Fm, mlow)
-              + np.einsum("ik,j->ijk", Fm, mlow)) / 2.0
-    T_avg = -np.einsum("im,mjk->ijk", Fm,
-                       np.einsum("m,jk->mjk", moments.mean, ETA) - third_low) / 2.0
-    table = L_avg + T_avg
+    m = moments.mean
+    L = Fm[:, :, None] * lower(m)                       # F^i_j <y>_k
+    B = m[:, None, None] * ETA - moments.third * _ETA_ETA
+    table = (Fm @ B.reshape(4, 16)).reshape(4, 4, 4)
+    table += L
+    table += L.transpose(0, 2, 1)
     # exact (j,k) symmetrization: rounding in the third-moment contraction
     # must not leave a spurious torsion
-    return 0.5 * (table + np.transpose(table, (0, 2, 1)))
+    return -0.25 * (table + table.transpose(0, 2, 1))
 
 
 class AveragedConnection:

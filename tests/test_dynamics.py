@@ -6,7 +6,6 @@ from avbeam.connections import (LorentzConnection, TableConnection,
                                 averaged_table)
 from avbeam.distribution import delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import (IntegratorConfig, TransportedMoments,
-                             _averaged_acceleration, _stage_rotations,
                              liouville_residual, push_averaged_transported,
                              push_connection, push_lorentz, to_lab_time,
                              transport_ensemble, transport_ensemble_averaged)
@@ -210,25 +209,38 @@ def test_liouville_residual_oracles():
 @pytest.mark.parametrize("preset, kw", [("normal-dipole", {"b0": 1.0}),
                                         ("normal-quad+dipole", {})])
 @pytest.mark.parametrize("bunch", ["cap", "delta"])
-def test_averaged_acceleration_matches_table_contraction(preset, kw, bunch):
-    """The directly contracted averaged spray equals the contraction of the
-    averaged coefficient table of the transported moments, off shell too."""
+def test_transported_table_matches_einsum_reference(preset, kw, bunch):
+    """The averaged spray of the transported moments, built by matrix
+    products, equals the einsum form of the transport and of the table
+    (docstring of averaged_table), off shell too."""
     field = make_preset(preset, **kw)
     if bunch == "cap":
         ens = rapidity_cap(300, r0=1.2, r_cap=0.1, seed=4)
     else:
         ens = delta_ensemble(v=(1.5, 0.4, -0.2), n=3)
     tm = TransportedMoments(field, ens.moments())
+    signs = np.array([1.0, -1.0, -1.0, -1.0])
+    eta = np.diag(signs)
     rng = np.random.default_rng(7)
     for s in (0.0, 0.4, 1.3):
         x = 0.2 * rng.normal(size=4)
         y = 1.1 * ens.y[1] + 0.05 * rng.normal(size=4)
         assert abs(minkowski(y, y) - 1.0) > 1e-2
+        R = expm(tm.F * s)
+        m = R @ tm.m0.mean
+        Q = np.einsum("ma,sb,lc,abc->msl", R, R, R, tm.m0.third)
+        Fm = field.mixed(x)
+        ref = -0.5 * (np.einsum("ij,k->ijk", Fm, signs * m)
+                      + np.einsum("ik,j->ijk", Fm, signs * m)
+                      + np.einsum("im,mjk->ijk", Fm,
+                                  np.einsum("m,jk->mjk", m, eta)
+                                  - np.einsum("msl,s,l->msl", Q, signs,
+                                              signs)))
+        want = -np.einsum("ijk,j,k->i", ref, y, y) / np.sqrt(minkowski(y, y))
         table = averaged_table(field, x, tm.at_tau(s))
-        want = -np.einsum("ijk,j,k->i", table, y, y) / np.sqrt(minkowski(y, y))
-        got = _averaged_acceleration(field.mixed(x), tm.rotation(s),
-                                     tm.m0.mean, tm.m0.third, y)
+        got = -((table @ y) @ y) / np.sqrt(minkowski(y, y))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(table, np.transpose(table, (0, 2, 1)))
 
 
 def test_stage_rotation_recurrence_matches_expm():
@@ -236,16 +248,16 @@ def test_stage_rotation_recurrence_matches_expm():
     tm = TransportedMoments(field, rapidity_cap(20, r0=1.0, r_cap=0.1,
                                                 seed=1).moments())
     s0, h = 0.25, 5e-3
-    rotation = _stage_rotations(tm, s0, h)
+    tm.on_stage_grid(s0, h)
     for k in range(20001):
         s = s0 + k * 0.5 * h
-        R = rotation(s)
-        assert rotation(s) is R          # repeated stage: no new step
+        R = tm.rotation(s)
+        assert tm.rotation(s) is R       # repeated stage: no new step
         if k % 2500 == 0:
             exact = expm(tm.F * s)
             assert np.max(np.abs(R - exact)) <= 1e-11 * np.max(np.abs(exact))
     with pytest.raises(ValueError):
-        rotation(s + 2.0 * h)
+        tm.rotation(s + 2.0 * h)
 
 
 def test_push_averaged_transported_rk45_matches_rk4():
