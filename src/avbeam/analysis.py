@@ -46,16 +46,20 @@ class ComparisonReport:
         return bool(ok_pos and ok_vel)
 
 
-def pick_support_velocity(ens, which="far"):
-    """An initial velocity inside the ensemble support.
+def support_index(ens, which="far"):
+    """Index of the sample pick_support_velocity returns.
 
     "far" picks the sample farthest from the mean (largest deviation,
     i.e. the worst-case representative), "near" the closest one.
     """
     m = ens.moments().mean
     dist = np.linalg.norm(ens.y - m, axis=1)
-    idx = int(np.argmax(dist) if which == "far" else np.argmin(dist))
-    return ens.y[idx].copy()
+    return int(np.argmax(dist) if which == "far" else np.argmin(dist))
+
+
+def pick_support_velocity(ens, which="far"):
+    """An initial velocity inside the ensemble support (see support_index)."""
+    return ens.y[support_index(ens, which)].copy()
 
 
 def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
@@ -70,7 +74,10 @@ def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
     exactly; the averaged velocity follows them but is not projected onto
     the unit hyperboloid, and diagnostics["norm_drift_averaged"] reports
     max |eta(y,y) - 1| along it (about 5e-4 by t = 300 at alpha = 0.02).
-    Both trajectories are resampled at n_out common lab times.
+    Both trajectories are resampled at n_out common lab times.  The proper-
+    time span starts at about 1.05 t_end / E and grows by a factor 1.25
+    until both twins reach lab time t_end; diagnostics["horizon_retries"]
+    counts those extensions (each one integrates both twins again).
     """
     cfg = cfg or IntegratorConfig()
     constants = {**DEFAULT_CONSTANTS, **(constants or {})}
@@ -92,7 +99,9 @@ def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
     tau_end = 1.05 * t_end / energy + 10 * cfg.step
     rec_l = push_lorentz(field, x0, y0, (0.0, tau_end), cfg)
     rec_a = push_averaged_transported(field, x0, y0, m0, (0.0, tau_end), cfg)
+    retries = 0
     while rec_l.x[-1, 0] < x0[0] + t_end or rec_a.x[-1, 0] < x0[0] + t_end:
+        retries += 1
         tau_end *= 1.25
         rec_l = push_lorentz(field, x0, y0, (0.0, tau_end), cfg)
         rec_a = push_averaged_transported(field, x0, y0, m0, (0.0, tau_end), cfg)
@@ -121,6 +130,7 @@ def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
         "norm_drift_lorentz": rec_l.stats["max_drift"],
         "dlogE_dt_max": float(dlogE),
         "adiabatic_flag": bool(dlogE > 0.01),
+        "horizon_retries": retries,
     }
     return ComparisonReport(ts, pos_sep, vel_sep, pos_bound, vel_bound,
                             alpha, energy, fn, diagnostics)

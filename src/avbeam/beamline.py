@@ -71,10 +71,6 @@ class JacobiRecord:
     xi: np.ndarray
     dxi: np.ndarray
 
-    def state(self, s):
-        return (PchipInterpolator(self.s, self.xi, axis=0)(s),
-                PchipInterpolator(self.s, self.dxi, axis=0)(s))
-
 
 def integrate_jacobi(conn, ref, xi0, dxi0, span, cfg=None, h=1e-4):
     """Integrate the deviation equation along a reference orbit."""

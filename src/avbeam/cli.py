@@ -25,7 +25,7 @@ from .connections import LorentzConnection, TildeConnection
 from .dynamics import (IntegratorConfig, push_lorentz, push_connection,
                        transport_ensemble)
 from .analysis import (DEFAULT_CONSTANTS, compare_trajectories, fit_scaling,
-                       pick_support_velocity, validity_horizon)
+                       pick_support_velocity, support_index, validity_horizon)
 from . import fluid as fluid_mod
 from .beamline import (preset_system, principal_solutions, particular_solution,
                        averaged_offset)
@@ -416,6 +416,7 @@ def run_sweep(cfg, out_dir, seed):
     param = cfg["parameter"]
     response = cfg.get("response", "position")
     points = []
+    start = None
     for value in cfg["values"]:
         espec = {k: (dict(v) if isinstance(v, dict) else v)
                  for k, v in cfg["ensemble"].items()}
@@ -429,7 +430,13 @@ def run_sweep(cfg, out_dir, seed):
         ens = build_ensemble(espec, seed)
         if param == "time":
             t_end = value
-        rep = compare_trajectories(field, ens, t_end=t_end,
+        # The bunches of one seed hold the same samples scaled or boosted,
+        # so one sample index is one initial direction for the whole sweep;
+        # a per-bunch pick can switch samples and mix two directions in the
+        # fitted exponent.
+        if start is None:
+            start = support_index(ens)
+        rep = compare_trajectories(field, ens, y0=ens.y[start], t_end=t_end,
                                    n_out=11, cfg=icfg, warn=False)
         sep = rep.pos_sep[-1] if response == "position" else rep.vel_sep[-1]
         x = {"alpha": rep.alpha, "energy": rep.energy,
@@ -621,14 +628,14 @@ RUNNERS = {
 # Click wiring
 # ---------------------------------------------------------------------------
 
-def _execute(command, config, out, seed, threads, dry_run):
+def _execute(command, config, out, seed, dry_run):
     try:
         cfg = load_config(config, command)
     except SchemaViolation as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
     plan = {"command": command, "config": cfg, "out": out,
-            "seed": seed, "threads": threads, "version": __version__}
+            "seed": seed, "version": __version__}
     if dry_run:
         click.echo(json.dumps(_jsonable(plan), sort_keys=True, indent=2))
         sys.exit(EXIT_OK)
@@ -658,8 +665,6 @@ def _execute(command, config, out, seed, threads, dry_run):
 def _common(fn):
     fn = click.option("--dry-run", is_flag=True,
                       help="Print the resolved experiment plan and exit.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads (orchestration hint).")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="Override the ensemble seed.")(fn)
     fn = click.option("--out", type=click.Path(), default="out",
@@ -679,8 +684,8 @@ def _register(command):
     @main.command(name=command,
                   help=f"Run the {command} experiment from a config file.")
     @_common
-    def _cmd(config, out, seed, threads, dry_run, _command=command):
-        _execute(_command, config, out, seed, threads, dry_run)
+    def _cmd(config, out, seed, dry_run, _command=command):
+        _execute(_command, config, out, seed, dry_run)
     return _cmd
 
 

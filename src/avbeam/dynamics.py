@@ -28,7 +28,6 @@ class IntegratorConfig:
     step: float = 1e-3           # fixed tau step for rk4
     tol: float = 1e-9            # tolerance for rk45
     renormalize: bool | None = None  # project y back to the hyperboloid
-    save_every: int = 1
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
@@ -71,7 +70,7 @@ def _rk4_grid(span, cfg):
 
 
 def _rk4_path(rhs, state0, span, cfg, project=None):
-    """Fixed-step RK4 storing every save_every-th state."""
+    """Fixed-step RK4 storing every state."""
     s0 = span[0]
     nsteps, h = _rk4_grid(span, cfg)
     state = np.array(state0, dtype=float)
@@ -89,9 +88,8 @@ def _rk4_path(rhs, state0, span, cfg, project=None):
         if not np.all(np.isfinite(state)):
             raise FloatingPointError(f"non-finite state at step {i}")
         s = s0 + (i + 1) * h
-        if (i + 1) % cfg.save_every == 0 or i == nsteps - 1:
-            out_s.append(s)
-            out.append(state.copy())
+        out_s.append(s)
+        out.append(state.copy())
     return np.array(out_s), np.array(out)
 
 
@@ -200,7 +198,7 @@ def _is_uniform(field):
 
 
 def _vector_rk4(rhs, Y0, span, cfg, project=None):
-    """RK4 for an (N, d) state array, storing every save_every-th state."""
+    """RK4 for an (N, d) state array, storing every state."""
     s0 = span[0]
     nsteps, h = _rk4_grid(span, cfg)
     Y = np.array(Y0, dtype=float)
@@ -219,9 +217,8 @@ def _vector_rk4(rhs, Y0, span, cfg, project=None):
             bad = int(np.argwhere(~np.isfinite(Y))[0][0])
             raise FloatingPointError(
                 f"non-finite ensemble state at step {i}, sample {bad}")
-        if (i + 1) % cfg.save_every == 0 or i == nsteps - 1:
-            taus.append(s0 + (i + 1) * h)
-            states.append(Y.copy())
+        taus.append(s0 + (i + 1) * h)
+        states.append(Y.copy())
     return np.array(taus), np.array(states)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from avbeam.analysis import (compare_trajectories, distribution_divergence,
                              fit_scaling, pick_support_velocity,
-                             validity_horizon)
+                             support_index, validity_horizon)
 from avbeam.distribution import delta_ensemble, rapidity_cap
 from avbeam.dynamics import IntegratorConfig
 from avbeam.fields import make_preset
@@ -67,6 +67,7 @@ def test_pick_support_velocity(small_cap):
     assert np.linalg.norm(far - m) == pytest.approx(dist.max())
     assert np.linalg.norm(near - m) == pytest.approx(dist.min())
     assert any(np.array_equal(far, ya) for ya in small_cap.y)
+    assert np.array_equal(far, small_cap.y[support_index(small_cap, "far")])
 
 
 def test_compare_delta_trajectories_coincide(dipole):
@@ -108,6 +109,22 @@ def test_compare_report_contents(dipole, bench_ensemble):
     assert rep.pos_sep[0] == 0.0
     assert np.max(rep.pos_sep) > 0.0
     assert "norm_drift_averaged" in rep.diagnostics
+    # y^0 is constant in a magnetic field: the first span reaches t_end
+    assert rep.diagnostics["horizon_retries"] == 0
+
+
+def test_compare_counts_horizon_retries():
+    """A point bunch decelerated by a constant E field (y^0 from sqrt(10)
+    towards 1) covers lab time more slowly than its starting energy
+    predicts: the proper-time span grows by 1.25 three times (x^0 reaches
+    2.10, 2.41 and 2.75 before 3.15 >= t_end = 3)."""
+    field = make_preset("constant-E", e=-1.0, axis=1)
+    ens = delta_ensemble(v=(3.0, 0.0, 0.0), n=2)
+    rep = compare_trajectories(field, ens, t_end=3.0, n_out=11,
+                               cfg=IntegratorConfig(step=1e-3))
+    assert rep.diagnostics["horizon_retries"] == 3
+    assert rep.times[-1] == pytest.approx(3.0)
+    assert np.max(rep.pos_sep) < 1e-10 and np.max(rep.vel_sep) < 1e-10
 
 
 def test_compare_warns_outside_support(dipole, small_cap):

@@ -160,6 +160,25 @@ def test_sweep_summary_and_assertions(runner, tmp_path):
     assert (tmp_path / "out" / "sweep_loglog.dat").exists()
 
 
+def test_sweep_keeps_one_initial_direction(runner, tmp_path):
+    """With seed 5 and n = 4500 the per-bunch "far" sample of the E = 40
+    bunch points another way than at the other energies, and the fitted
+    E-slope mixes two directions (-2.56); one sample index for the whole
+    sweep gives -1.99."""
+    doc = {"field": {"preset": "normal-dipole", "params": {"b0": 1.0}},
+           "ensemble": {"generator": "rapidity-cap", "n": 4500, "seed": 5,
+                        "params": {"r_cap": 0.01, "axis": 1,
+                                   "aspect": [0.0, 1.0, 1.0]}},
+           "parameter": "energy", "values": [5.0, 10.0, 20.0, 40.0],
+           "response": "position", "t_end": 2.0,
+           "integrator": {"step": 1e-3}}
+    cfg = write_cfg(tmp_path, doc)
+    res = invoke(runner, "sweep", cfg, tmp_path / "out")
+    assert res.exit_code == 0, res.output
+    s = read_summary(tmp_path / "out")
+    assert -2.4 <= s["slope"] <= -1.6, s["slope"]
+
+
 def test_compare_command(runner, tmp_path):
     doc = {"field": {"preset": "normal-dipole", "params": {"b0": 1.0}},
            "ensemble": {"generator": "rapidity-cap", "n": 100, "seed": 11,

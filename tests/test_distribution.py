@@ -9,7 +9,16 @@ from avbeam.distribution import (CSV_HEADER, Ensemble, MomentSet,
                                  delta_ensemble, diameter_alpha, dump_csv,
                                  dumps_csv, gaussian_cap, lift, load_csv,
                                  rapidity_cap)
-from avbeam.geometry import eta_bar, minkowski
+from avbeam.geometry import eta_bar, minkowski, sqrt_spd
+
+
+def brute_diameter(y, block=500):
+    """Max pairwise distance of the rows of y from explicit differences."""
+    best = 0.0
+    for i in range(0, len(y), block):
+        d = y[i:i + block, None, :] - y[None, :, :]
+        best = max(best, float(np.max(np.sum(d * d, axis=-1))))
+    return np.sqrt(best)
 
 
 def test_lift_on_shell(rng):
@@ -74,12 +83,55 @@ def test_alpha_hull_path_matches_bruteforce():
     assert big.alpha() == pytest.approx(np.sqrt(d2.max()), rel=1e-12)
 
 
+def test_alpha_exact_on_pruned_cap():
+    """The transverse cap on which a convex-hull reduction kept 28 of 4500
+    samples and returned 0.0074: alpha is the full pairwise maximum."""
+    ens = rapidity_cap(4500, r0=np.arccosh(10.0), r_cap=0.02, seed=11, axis=1,
+                       aspect=(0.0, 1.0, 1.0))
+    exact = brute_diameter(ens.y)
+    assert exact == pytest.approx(0.03973, rel=1e-3)
+    assert ens.alpha() == pytest.approx(exact, rel=1e-12)
+
+
+def test_alpha_exact_when_pruning_keeps_everything(rng):
+    """Samples on a sphere about their centroid all lie at the pruning
+    radius, so the search scans every pair and must still be exact."""
+    v = rng.normal(size=(2000, 3))
+    v *= 0.5 / np.linalg.norm(v, axis=1, keepdims=True)
+    y = lift(v)
+    assert diameter_alpha(y) == pytest.approx(brute_diameter(y), rel=1e-12)
+
+
+def test_alpha_degenerate_sets():
+    y = np.array([lift([0.2, 0.0, 0.0]), lift([-0.1, 0.3, 0.0])])
+    d = y[0] - y[1]
+    assert diameter_alpha(y) == pytest.approx(np.sqrt(d @ d), rel=1e-15)
+    assert diameter_alpha(np.tile(y[0], (50, 1))) == 0.0
+    assert diameter_alpha(y[:1]) == 0.0
+    assert diameter_alpha(y[0]) == 0.0
+
+
+def test_non_finite_input_fails_loudly():
+    with pytest.raises(ValueError, match="finite"):
+        Ensemble(np.zeros(4), [[np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Ensemble([np.inf, 0.0, 0.0, 0.0], lift([0.1, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        Ensemble(np.zeros(4), lift([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]),
+                 w=[1.0, np.nan])
+    y = lift([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    y[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        diameter_alpha(y)
+
+
 def test_alpha_observer_metric(rng, small_cap):
     u = small_cap.moments().mean
     u = u / np.sqrt(minkowski(u, u))
     bar = eta_bar(u)
     a = small_cap.alpha(bar)
-    assert a > 0
+    assert a == pytest.approx(brute_diameter(small_cap.y @ sqrt_spd(bar).T),
+                              rel=1e-12)
     # comoving diameter of an isotropic cap ~ 2 r_cap regardless of boost
     assert a == pytest.approx(2 * 0.05, rel=0.15)
 
