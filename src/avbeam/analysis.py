@@ -95,16 +95,29 @@ def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
     fn = field_norm(field, x0)
     m0 = ens.moments()
 
+    def twins(tau_end):
+        rec_l = push_lorentz(field, x0, y0, (0.0, tau_end), cfg)
+        try:
+            rec_a = push_averaged_transported(field, x0, y0, m0,
+                                              (0.0, tau_end), cfg)
+        except FloatingPointError as exc:
+            if sup <= alpha + 1e-12:
+                raise
+            raise FloatingPointError(
+                f"averaged twin failed ({exc}); its initial velocity lies "
+                f"{sup:.6g} from the nearest sample of a bunch of diameter "
+                f"alpha = {alpha:.6g}, outside the support, where the "
+                "averaged connection need not keep it timelike") from exc
+        return rec_l, rec_a
+
     # proper-time horizon covering lab time t_end (x^0 advances at rate y^0 >= E)
     tau_end = 1.05 * t_end / energy + 10 * cfg.step
-    rec_l = push_lorentz(field, x0, y0, (0.0, tau_end), cfg)
-    rec_a = push_averaged_transported(field, x0, y0, m0, (0.0, tau_end), cfg)
+    rec_l, rec_a = twins(tau_end)
     retries = 0
     while rec_l.x[-1, 0] < x0[0] + t_end or rec_a.x[-1, 0] < x0[0] + t_end:
         retries += 1
         tau_end *= 1.25
-        rec_l = push_lorentz(field, x0, y0, (0.0, tau_end), cfg)
-        rec_a = push_averaged_transported(field, x0, y0, m0, (0.0, tau_end), cfg)
+        rec_l, rec_a = twins(tau_end)
 
     times = x0[0] + np.linspace(0.0, t_end, n_out)
     lab_l = to_lab_time(rec_l, times)

@@ -4,6 +4,18 @@ A deviation vector xi along a reference orbit X(tau) obeys
 
     xi'' + 2 Gamma(X)(xi', X') + xi^l d_l Gamma (X', X') = 0.
 
+For the Lorentz and tilde connections, whose spray is
+G(x, y) = -sqrt(eta(y, y)) F(x) y, jacobi_rhs evaluates this linearisation
+in closed form,
+
+    xi'' = sqrt(eta) F xi' + (eta(X', xi') / sqrt(eta)) F X'
+           + sqrt(eta) (xi^k d_k F) X',        eta = eta(X', X'),
+
+with F from field.mixed and d_k F from field.gradient_mixed (analytic in
+every preset).  It reduces to xi'' = F xi' + (xi^k d_k F) X' only when
+eta(X', xi') = 0 and eta(X', X') = 1.  Any other connection kind takes
+d_l Gamma by central differences of the connection in x.
+
 For the accelerator presets the transverse/longitudinal components decouple
 into scalar Hill-type systems u'' + c u' + K u = p with principal solutions
 C (cosine-like) and S (sine-like), Green function
@@ -41,9 +53,40 @@ def jacobi_rhs(conn, ref, h=1e-4):
     """Right-hand side of the first-order deviation system.
 
     State is (xi, xi'); the reference orbit supplies X(tau), X'(tau) by
-    interpolation and the connection-gradient term uses central differences
-    in the position argument.
+    interpolation.  For the Lorentz and tilde connections the acceleration
+    is the closed form of the module docstring, from field.mixed and
+    field.gradient_mixed; for any other connection the connection-gradient
+    term uses central differences of step h in the position argument.
     """
+    if conn.kind in ("lorentz", "tilde"):
+        return _lorentz_jacobi_rhs(conn.field, ref)
+    return _finite_difference_jacobi_rhs(conn, ref, h)
+
+
+def _lorentz_jacobi_rhs(field, ref):
+    """Closed-form deviation acceleration of the spray -sqrt(eta) F(x) y."""
+
+    def rhs(s, state):
+        xi, dxi = state[:4], state[4:]
+        X, Xd = ref.state(s)
+        n2 = minkowski(Xd, Xd)
+        if n2 <= 0:
+            raise ValueError("deviation equation defined only along a "
+                             "timelike reference (eta(X', X') > 0)")
+        sq = np.sqrt(n2)
+        F = field.mixed(X)
+        dF = field.gradient_mixed(X)       # dF[k, i, j] = d_k F^i_j
+        xi_dF = (xi @ dF.reshape(4, 16)).reshape(4, 4)
+        acc = (sq * (F @ dxi) + (minkowski(Xd, dxi) / sq) * (F @ Xd)
+               + sq * (xi_dF @ Xd))
+        return np.concatenate([dxi, acc])
+
+    return rhs
+
+
+def _finite_difference_jacobi_rhs(conn, ref, h=1e-4):
+    """Deviation acceleration -2 Gamma(xi', X') - xi^l d_l Gamma(X', X'),
+    with d_l Gamma by central differences of step h."""
     velocity_dependent = conn.kind in ("lorentz", "tilde", "berwald-generic")
 
     def table(x, y):
@@ -212,13 +255,14 @@ def principal_solutions(system, span, cfg=None):
     K, c = system.k_fn(), system.c_fn()
 
     def rhs(s, st):
-        u, du = st
-        return np.array([du, -c(s) * du - K(s) * u])
+        # scalar arithmetic: a 4-vector is too small for numpy to pay off
+        uc, us, dc, ds = st.tolist()
+        cs, ks = c(s), K(s)
+        return np.array([dc, ds, -cs * dc - ks * uc, -cs * ds - ks * us])
 
-    sC, C = _rk4_path(rhs, np.array([1.0, 0.0]), span, cfg)
-    sS, S = _rk4_path(rhs, np.array([0.0, 1.0]), span, cfg)
-    assert np.array_equal(sC, sS)
-    return PrincipalPair(sC, C[:, 0], S[:, 0], C[:, 1], S[:, 1])
+    # one pass over the state (C, S, C', S')
+    s, st = _rk4_path(rhs, np.array([1.0, 0.0, 0.0, 1.0]), span, cfg)
+    return PrincipalPair(s, st[:, 0], st[:, 1], st[:, 2], st[:, 3])
 
 
 def green(pp):
@@ -288,8 +332,8 @@ def averaged_offset(field, ref, moments_along, span, n_grid=401,
     xi_fn = xi_mean if xi_mean is not None else (lambda s: np.zeros(4))
     grid = np.linspace(span[0], span[1], n_grid)
     integrand = np.zeros((n_grid, 2))
-    for n, s in enumerate(grid):
-        X, Xd = ref.state(s)
+    Xs, Xds = ref.state(grid)
+    for n, (s, X, Xd) in enumerate(zip(grid, Xs, Xds)):
         ms = ms_fn(s)
         Fm = field.mixed(X)
         eps = (ms.mean - Xd) if epsilon is None else np.asarray(epsilon(s), float)

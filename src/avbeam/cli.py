@@ -186,7 +186,7 @@ SCHEMAS = {
         "properties": {
             "field": _FIELD, "ensemble": _ENSEMBLE,
             "tau_end": {"type": "number", "exclusiveMinimum": 0},
-            "mode": {"type": "string", "enum": ["frozen", "full"]},
+            "mode": {"type": "string", "enum": ["frozen"]},
             "n_grid": _POS_INT,
             "integrator": _INTEGRATOR,
         },

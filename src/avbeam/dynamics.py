@@ -45,11 +45,19 @@ class TrajectoryRecord:
     y: np.ndarray           # (n, 4) velocities dx/dtau
     kind: str = "tau"       # "tau" or "lab"
     stats: dict = dc_field(default_factory=dict)
+    _interp: tuple | None = dc_field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def state(self, s):
-        """Interpolated (x, y) at parameter value(s) s (monotone cubic)."""
-        xi = PchipInterpolator(self.s, self.x, axis=0)
-        yi = PchipInterpolator(self.s, self.y, axis=0)
+        """Interpolated (x, y) at parameter value(s) s (monotone cubic).
+
+        The two interpolants are built on the first call and kept; a record
+        is not meant to be changed once it is made.
+        """
+        if self._interp is None:
+            self._interp = (PchipInterpolator(self.s, self.x, axis=0),
+                            PchipInterpolator(self.s, self.y, axis=0))
+        xi, yi = self._interp
         return xi(s), yi(s)
 
     @property
@@ -85,7 +93,7 @@ def _rk4_path(rhs, state0, span, cfg, project=None):
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             state = project(state)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise FloatingPointError(f"non-finite state at step {i}")
         s = s0 + (i + 1) * h
         out_s.append(s)
@@ -190,13 +198,6 @@ def to_lab_time(rec, times=None, n=None):
 # Ensemble transport
 # ---------------------------------------------------------------------------
 
-def _is_uniform(field):
-    """True when F does not depend on x (all shipped constant presets)."""
-    probe = [np.zeros(4), np.array([0.3, -0.7, 0.9, 0.4])]
-    F0 = field.lowered(probe[0])
-    return bool(np.allclose(F0, field.lowered(probe[1]), atol=1e-14))
-
-
 def _vector_rk4(rhs, Y0, span, cfg, project=None):
     """RK4 for an (N, d) state array, storing every state."""
     s0 = span[0]
@@ -213,7 +214,7 @@ def _vector_rk4(rhs, Y0, span, cfg, project=None):
         Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project is not None:
             Y = project(Y)
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             bad = int(np.argwhere(~np.isfinite(Y))[0][0])
             raise FloatingPointError(
                 f"non-finite ensemble state at step {i}, sample {bad}")
@@ -226,21 +227,29 @@ def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
     """Advect every sample with the Lorentz flow (kinetic transport).
 
     Weights are untouched (collisionless transport: the distribution is
-    constant along characteristics).  Returns the full proper-time history
-    when lab_times is None, else ensembles sliced at the requested lab times
-    by per-sample monotone interpolation.
+    constant along characteristics).  A field that declares itself affine
+    is evaluated for all samples at once,
+    F(x_a) y_a = F(0) y_a + x_a^k (d_k F) y_a; any other field is evaluated
+    sample by sample.  Returns the full proper-time history when lab_times
+    is None, else ensembles sliced at the requested lab times by per-sample
+    monotone interpolation.
     """
     cfg = cfg or IntegratorConfig()
     renorm = True if cfg.renormalize is None else cfg.renormalize
-    uniform = _is_uniform(field)
-    F0 = field.mixed(np.zeros(4)) if uniform else None
+    if field.affine:
+        F0T = field.mixed0.T
+        # dF[k, (i, j)] = d_k F^i_j, so x @ dF is the batch of x^k d_k F
+        dF = None if field.uniform else field.gradient0.reshape(4, 16)
 
     def rhs(_s, Y):
         x, y = Y[:, :4], Y[:, 4:]
-        if uniform:
-            acc = y @ F0.T
-        else:
+        if not field.affine:
             acc = np.array([field.mixed(xa) @ ya for xa, ya in zip(x, y)])
+        elif dF is None:
+            acc = y @ F0T
+        else:
+            acc = y @ F0T + ((x @ dF).reshape(-1, 4, 4)
+                             @ y[:, :, None])[:, :, 0]
         return np.concatenate([y, acc], axis=1)
 
     def project(Y):

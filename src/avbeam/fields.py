@@ -21,13 +21,28 @@ class FaradayField:
     evaluator(x) -> 4x4 lowered matrix F_ij;
     gradient(x)  -> (4,4,4) array dF[k,i,j] = d_k F_ij (optional; finite
     differences are used when absent).
+
+    affine=True declares F(x) = F(0) + x^k d_k F with a constant analytic
+    gradient; the field then carries mixed0 = F^i_j(0) and
+    gradient0 = d_k F^i_j, so ensembles can be evaluated in one batch
+    (dynamics.transport_ensemble).  uniform is true for an affine field
+    whose declared gradient is zero: F does not depend on x.
     """
 
-    def __init__(self, evaluator, gradient=None, name="custom", fd_step=1e-4):
+    def __init__(self, evaluator, gradient=None, name="custom", fd_step=1e-4,
+                 *, affine=False):
         self._eval = evaluator
         self._grad = gradient
         self.name = name
         self.fd_step = fd_step
+        self.affine = bool(affine)
+        self.mixed0 = self.gradient0 = None
+        if self.affine:
+            if gradient is None:
+                raise ValueError("an affine field needs its analytic gradient")
+            self.mixed0 = ETA @ self.lowered(np.zeros(4))
+            self.gradient0 = self.gradient_mixed(np.zeros(4))
+        self.uniform = self.affine and not np.any(self.gradient0)
 
     def lowered(self, x):
         """F_ij(x) with both indices down."""
@@ -125,7 +140,8 @@ def field_norm(field, x=None, bar=None):
 def _const(M, name):
     M = np.asarray(M, dtype=float)
     zero_grad = np.zeros((4, 4, 4))
-    return FaradayField(lambda x: M, gradient=lambda x: zero_grad, name=name)
+    return FaradayField(lambda x: M, gradient=lambda x: zero_grad, name=name,
+                        affine=True)
 
 
 def zero_field():
@@ -180,7 +196,7 @@ def normal_quad_dipole(b0=0.0, b1=1.0, charge_sign=1.0):
     grad[3, 2, 3], grad[3, 3, 2] = b1, -b1
     grad = charge_sign * grad
     return FaradayField(evaluator, gradient=lambda x: grad,
-                        name=f"normal-quad+dipole({b0},{b1})")
+                        name=f"normal-quad+dipole({b0},{b1})", affine=True)
 
 
 def quad45_dipole(b0=0.0, b1=1.0, charge_sign=1.0):
@@ -204,7 +220,7 @@ def quad45_dipole(b0=0.0, b1=1.0, charge_sign=1.0):
     grad[1, 2, 3], grad[1, 3, 2] = -b1, b1
     grad = charge_sign * grad
     return FaradayField(evaluator, gradient=lambda x: grad,
-                        name=f"quad45+dipole({b0},{b1})")
+                        name=f"quad45+dipole({b0},{b1})", affine=True)
 
 
 def longitudinal_e(e2, charge_sign=1.0):

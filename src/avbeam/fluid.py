@@ -280,9 +280,7 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     are used.  alpha is the support diameter seen by the mean observer.
     Degenerate (single-point) support returns a zero budget.
     """
-    from .dynamics import _is_uniform
-
-    uniform = _is_uniform(field)
+    uniform = field.uniform
     if h_tau is None:
         h_tau = 1e-6 if uniform else max(tau / 50.0, 1e-3)
     # with analytic means (uniform field) the step only resolves the slice

@@ -4,7 +4,7 @@ import pytest
 from avbeam.analysis import (compare_trajectories, distribution_divergence,
                              fit_scaling, pick_support_velocity,
                              support_index, validity_horizon)
-from avbeam.distribution import delta_ensemble, rapidity_cap
+from avbeam.distribution import delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import IntegratorConfig
 from avbeam.fields import make_preset
 
@@ -133,6 +133,23 @@ def test_compare_warns_outside_support(dipole, small_cap):
                              y0=np.array([3.0, np.sqrt(8.0), 0.0, 0.0]),
                              t_end=0.5, n_out=5,
                              cfg=IntegratorConfig(step=1e-2))
+
+
+def test_compare_names_the_support_when_the_averaged_twin_fails(dipole):
+    """A start at E = 5 against a bunch at E = 10 drives the averaged twin
+    across the light cone; the error says how far outside the support the
+    start lies."""
+    ens = rapidity_cap(200, r0=np.arccosh(10.0), r_cap=0.005, seed=11,
+                       axis=1, aspect=(0.0, 1.0, 1.0))
+    y0 = lift((np.sqrt(24.0), 0.0, 0.0))
+    sup = np.min(np.linalg.norm(ens.y - y0, axis=1))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="outside the support") \
+            as err:
+        compare_trajectories(dipole, ens, y0=y0, warn=False)
+    msg = str(err.value)
+    assert f"{sup:.6g}" in msg and f"alpha = {ens.alpha():.6g}" in msg
+    assert "non-finite state" in msg
 
 
 def test_distribution_divergence_zero_for_delta(dipole):

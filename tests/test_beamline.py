@@ -4,9 +4,11 @@ import pytest
 from avbeam.beamline import (averaged_offset, green, integrate_jacobi,
                              particular_solution, preset_system,
                              principal_solutions, HillSystem)
-from avbeam.connections import LorentzConnection
+from avbeam.connections import LorentzConnection, TildeConnection
 from avbeam.distribution import MomentSet, lift, rapidity_cap
-from avbeam.dynamics import IntegratorConfig, push_lorentz
+from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord, _rk4_path,
+                             push_lorentz)
+from avbeam.geometry import minkowski
 from avbeam.fields import make_preset, zero_field
 
 SPAN = (0.0, 2.0)
@@ -129,6 +131,66 @@ def test_jacobi_matches_orbit_variation():
     fd = (rp.x - rm.x) / (2.0 * eps)
     err = np.max(np.abs(rec.xi[-1] - fd[-1])) / np.max(np.abs(fd[-1]))
     assert err < 1e-3
+
+
+def test_principal_pair_is_the_two_single_passes():
+    """One pass over (C, S, C', S') gives the bits of two passes over
+    (C, C') and (S, S')."""
+    system = HillSystem(K=lambda s: 1.0 + 0.5 * np.sin(s), damping=0.3)
+    pp = principal_solutions(system, SPAN, CFG)
+    K, c = system.k_fn(), system.c_fn()
+
+    def rhs(s, st):
+        u, du = st
+        return np.array([du, -c(s) * du - K(s) * u])
+
+    sC, C = _rk4_path(rhs, np.array([1.0, 0.0]), SPAN, CFG)
+    sS, S = _rk4_path(rhs, np.array([0.0, 1.0]), SPAN, CFG)
+    assert np.array_equal(pp.s, sC) and np.array_equal(pp.s, sS)
+    for got, want in ((pp.C, C[:, 0]), (pp.Cp, C[:, 1]),
+                      (pp.S, S[:, 0]), (pp.Sp, S[:, 1])):
+        assert np.array_equal(got, want)
+
+
+class FiniteDifferenceLorentz:
+    """The Lorentz connection under a generic kind, so that the deviation
+    equation takes its finite-difference path."""
+
+    kind = "berwald-generic"
+
+    def __init__(self, field):
+        self._conn = LorentzConnection(field)
+
+    def coeffs(self, x, y):
+        return self._conn.coeffs(x, y)
+
+
+@pytest.mark.parametrize("kind, params, tol", [
+    ("normal-quad+dipole", {"b0": 1.0, "b1": 0.4}, 1e-10),
+    ("quad45+dipole", {"b0": 1.0, "b1": 0.4}, 1e-10),
+    ("rf-cavity", {"e20": 0.5, "w_rf": 2.0}, 1e-7),
+])
+def test_closed_form_jacobi_matches_finite_differences(kind, params, tol):
+    """Closed-form deviation equation against central differences of the
+    connection, with eta(X', xi') != 0, on an on-shell and on an off-shell
+    (eta(X', X') = 1.21) reference that moves along x^1 and x^2."""
+    field = make_preset(kind, **params)
+    y0 = np.array([3.0, 2.0, 2.0, 0.0])
+    y0[0] = np.sqrt(1.0 + y0[1:] @ y0[1:])
+    ref = push_lorentz(field, np.zeros(4), y0, (0.0, 0.6),
+                       IntegratorConfig(step=1e-3, renormalize=False))
+    off_shell = TrajectoryRecord(ref.s, ref.x, 1.1 * ref.y)
+    xi0 = np.array([0.1, 0.3, -0.2, 0.2])
+    dxi0 = np.array([0.5, 0.0, 0.1, -0.2])
+    assert abs(minkowski(y0, dxi0)) > 1.0
+    cfg = IntegratorConfig(step=5e-3)
+    fd_conn = FiniteDifferenceLorentz(field)
+    for rec in (ref, off_shell):
+        want = integrate_jacobi(fd_conn, rec, xi0, dxi0, (0.0, 0.5), cfg)
+        scale = np.max(np.abs(want.xi))
+        for conn in (LorentzConnection(field), TildeConnection(field)):
+            got = integrate_jacobi(conn, rec, xi0, dxi0, (0.0, 0.5), cfg)
+            assert np.max(np.abs(got.xi - want.xi)) <= tol * scale
 
 
 def delta_moments_along(ref):

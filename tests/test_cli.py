@@ -241,6 +241,22 @@ def test_offset_command_delta_is_zero(runner, tmp_path):
     assert s["max_offset"] < 1e-12
 
 
+def test_offset_full_mode_rejected(runner, tmp_path):
+    """The command never supplies the mean deviation that mode "full" needs,
+    so the schema refuses it rather than run it as "frozen"."""
+    doc = {"field": {"preset": "normal-quad+dipole",
+                     "params": {"b0": 1.0, "b1": 0.4}},
+           "ensemble": {"generator": "delta", "params": {"v": [2.0, 0.0, 0.0]}},
+           "tau_end": 0.1, "mode": "full"}
+    res = invoke(runner, "offset", write_cfg(tmp_path, doc), tmp_path / "out")
+    assert res.exit_code == 2
+    assert "mode" in res.output
+    assert not (tmp_path / "out").exists()
+    doc["mode"] = "frozen"
+    res = invoke(runner, "offset", write_cfg(tmp_path, doc), tmp_path / "ok")
+    assert res.exit_code == 0, res.output
+
+
 def test_emit_plot_data_empty_series(tmp_path):
     paths = emit_plot_data({"empty": ([], [])}, str(tmp_path),
                            {"empty": ("tau", "value")})

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import expm
 
 from avbeam.connections import (LorentzConnection, TableConnection,
                                 averaged_table)
 from avbeam.distribution import delta_ensemble, lift, rapidity_cap
-from avbeam.dynamics import (IntegratorConfig, TransportedMoments,
-                             liouville_residual, push_averaged_transported,
+from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord,
+                             TransportedMoments, liouville_residual, push_averaged_transported,
                              push_connection, push_lorentz, to_lab_time,
                              transport_ensemble, transport_ensemble_averaged)
-from avbeam.fields import make_preset
+from avbeam.fields import FaradayField, make_preset
 from avbeam.geometry import minkowski
 
 
@@ -140,6 +141,44 @@ def test_transport_matches_single_particle():
                            IntegratorConfig(step=1e-3))
         assert np.max(np.abs(hist[-1].y[a] - rec.y[-1])) < 1e-12
         assert np.max(np.abs(hist[-1].x[a] - rec.x[-1])) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["normal-quad+dipole", "quad45+dipole"])
+def test_affine_batched_transport_matches_per_sample_loop(kind):
+    """The batched affine field against the same field evaluated sample by
+    sample (field.mixed(x) @ y), on a bunch spread in position too."""
+    field = make_preset(kind, b0=1.0, b1=0.4)
+    looped = FaradayField(field.lowered, gradient=field.gradient_lowered,
+                          name="per-sample copy")
+    assert field.affine and not looped.affine
+    cap = rapidity_cap(40, r0=1.0, r_cap=0.2, seed=4, axis=1)
+    x = np.random.default_rng(9).normal(scale=0.5, size=(40, 4))
+    x[:, 0] = 0.0
+    ens = cap.with_state(x, cap.y)
+    cfg = IntegratorConfig(step=1e-2)
+    _, batched = transport_ensemble(field, ens, (0.0, 1.0), cfg)
+    _, loop = transport_ensemble(looped, ens, (0.0, 1.0), cfg)
+    for got, want in ((batched[-1].x, loop[-1].x), (batched[-1].y, loop[-1].y)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_record_state_reuses_its_interpolants():
+    """Repeated state() calls give the bits of a fresh interpolant, and the
+    cached interpolants stay out of repr and equality."""
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    rec = push_lorentz(field, np.zeros(4), gyro_initial(3.0), (0.0, 0.5),
+                       IntegratorConfig(step=1e-2))
+    taus = np.array([0.0, 0.1234, 0.25, 0.4999])
+    fresh = (PchipInterpolator(rec.s, rec.x, axis=0)(taus),
+             PchipInterpolator(rec.s, rec.y, axis=0)(taus))
+    copy = TrajectoryRecord(rec.s, rec.x, rec.y, rec.kind, rec.stats)
+    for _ in range(3):
+        for got, want in zip(rec.state(taus), fresh):
+            assert np.array_equal(got, want)
+    x1, y1 = rec.state(0.1234)
+    assert np.array_equal(x1, fresh[0][1]) and np.array_equal(y1, fresh[1][1])
+    assert repr(rec) == repr(copy)
+    assert "PchipInterpolator" not in repr(rec)
 
 
 def test_transport_lab_time_slices():

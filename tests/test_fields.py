@@ -117,3 +117,44 @@ def test_charge_sign_flips():
 def test_unknown_preset_raises():
     with pytest.raises(KeyError):
         make_preset("sextupole")
+
+
+def probed_uniformity(field):
+    """The two-point probe that field.uniform replaces: F(0) == F(x) for one
+    fixed x."""
+    x = np.array([0.3, -0.7, 0.9, 0.4])
+    return bool(np.allclose(field.lowered(np.zeros(4)), field.lowered(x),
+                            atol=1e-14))
+
+
+@pytest.mark.parametrize("kind", sorted(PRESETS))
+def test_presets_declare_the_probed_uniformity(kind):
+    params = {"longitudinal-E": {"e2": 0.3}}
+    f = make_preset(kind, **params.get(kind, {}))
+    assert f.uniform is probed_uniformity(f)
+
+
+def test_declared_uniformity_follows_the_gradient():
+    assert make_preset("normal-quad+dipole", b0=1.0, b1=0.0).uniform
+    assert make_preset("quad45+dipole", b0=1.0, b1=0.0).uniform
+    assert not make_preset("normal-quad+dipole", b0=1.0, b1=0.4).uniform
+    ramp = make_preset("longitudinal-E", e2=lambda z: 0.3 * z)
+    assert not ramp.affine and not ramp.uniform
+    assert not make_preset("rf-cavity").affine
+
+
+def test_affine_presets_match_their_declaration(rng):
+    for kind in ("normal-quad+dipole", "quad45+dipole", "normal-dipole",
+                 "constant-E"):
+        f = make_preset(kind)
+        assert f.affine, kind
+        for _ in range(5):
+            x = rng.normal(size=4)
+            expect = f.mixed0 + np.tensordot(x, f.gradient0, axes=1)
+            assert np.allclose(f.mixed(x), expect, rtol=0.0, atol=1e-14), kind
+            assert np.array_equal(f.gradient_mixed(x), f.gradient0), kind
+
+
+def test_affine_field_needs_its_gradient():
+    with pytest.raises(ValueError, match="gradient"):
+        FaradayField(lambda x: np.zeros((4, 4)), affine=True)
