@@ -42,7 +42,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .geometry import minkowski, lower
-from .dynamics import IntegratorConfig, _rk4_path
+from .dynamics import IntegratorConfig, _integrate
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def integrate_jacobi(conn, ref, xi0, dxi0, span, cfg=None, h=1e-4):
     """Integrate the deviation equation along a reference orbit."""
     cfg = cfg or IntegratorConfig()
     state0 = np.concatenate([np.asarray(xi0, float), np.asarray(dxi0, float)])
-    s, states = _rk4_path(jacobi_rhs(conn, ref, h), state0, span, cfg)
+    s, states, _ = _integrate(jacobi_rhs(conn, ref, h), state0, span, cfg)
     return JacobiRecord(s, states[:, :4], states[:, 4:])
 
 
@@ -261,7 +261,7 @@ def principal_solutions(system, span, cfg=None):
         return np.array([dc, ds, -cs * dc - ks * uc, -cs * ds - ks * us])
 
     # one pass over the state (C, S, C', S')
-    s, st = _rk4_path(rhs, np.array([1.0, 0.0, 0.0, 1.0]), span, cfg)
+    s, st, _ = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0]), span, cfg)
     return PrincipalPair(s, st[:, 0], st[:, 1], st[:, 2], st[:, 3])
 
 
@@ -309,27 +309,18 @@ class OffsetReport:
     integrand1: np.ndarray
     integrand3: np.ndarray
 
-    def at(self, tau):
-        return (float(PchipInterpolator(self.s, self.off1)(tau)),
-                float(PchipInterpolator(self.s, self.off3)(tau)))
-
 
 def averaged_offset(field, ref, moments_along, span, n_grid=401,
-                    mode="frozen", xi_mean=None, epsilon=None):
+                    epsilon=None):
     """First-order collective offset of the bunch mean from the reference.
 
     moments_along: MomentSet or callable tau -> MomentSet giving the
     transported velocity moments along the orbit; eps(tau) is their mean
     minus the reference velocity (an explicit epsilon(tau) override is
-    available for synthetic studies).  mode="full" adds the field-gradient
-    term xi^l d_l F^i_m (<y^m> eta_jk - <y^m y^s y^l> eta_js eta_lk)
-    X'^j X'^k with the supplied mean deviation xi_mean(tau) (zero by
-    default, in which case it coincides with the frozen mode for uniform
-    fields).
+    available for synthetic studies).
     """
     ms_fn = moments_along if callable(moments_along) else (
         lambda s, m=moments_along: m)
-    xi_fn = xi_mean if xi_mean is not None else (lambda s: np.zeros(4))
     grid = np.linspace(span[0], span[1], n_grid)
     integrand = np.zeros((n_grid, 2))
     Xs, Xds = ref.state(grid)
@@ -343,13 +334,7 @@ def averaged_offset(field, ref, moments_along, span, n_grid=401,
                       + (Fm @ Xd) * float(eps_low @ eps))
         bracket = ms.mean * float(minkowski(Xd, Xd)) \
             - np.einsum("msl,s,l->m", ms.third, Xd_low, Xd_low)
-        vec = quad + Fm @ bracket
-        if mode == "full":
-            dF = field.gradient_mixed(X)
-            vec = vec + np.einsum("l,lim,m->i", xi_fn(s), dF, bracket)
-        elif mode != "frozen":
-            raise ValueError(f"unknown offset mode {mode!r}")
-        integrand[n] = vec[[1, 3]]
+        integrand[n] = (quad + Fm @ bracket)[[1, 3]]
 
     from scipy.integrate import cumulative_simpson
 

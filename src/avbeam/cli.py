@@ -22,8 +22,8 @@ from . import __version__
 from .fields import PRESETS, make_preset, field_norm
 from .distribution import (GENERATORS, Ensemble, dump_csv, lift)
 from .connections import LorentzConnection, TildeConnection
-from .dynamics import (IntegratorConfig, push_lorentz, push_connection,
-                       transport_ensemble)
+from .dynamics import (IntegratorConfig, history_at, push_lorentz,
+                       push_connection, transport_ensemble)
 from .analysis import (DEFAULT_CONSTANTS, compare_trajectories, fit_scaling,
                        pick_support_velocity, support_index, validity_horizon)
 from . import fluid as fluid_mod
@@ -570,12 +570,10 @@ def run_offset(cfg, out_dir, seed):
     taus, hist = transport_ensemble(field, ens, span, icfg)
 
     def moments_along(tau):
-        idx = int(np.argmin(np.abs(taus - tau)))
-        return hist[idx].moments()
+        return history_at(taus, hist, tau).moments()
 
     rep = averaged_offset(field, ref, moments_along, span,
-                          n_grid=cfg.get("n_grid", 201),
-                          mode=cfg.get("mode", "frozen"))
+                          n_grid=cfg.get("n_grid", 201))
     check_finite("beamline", rep.off1, rep.off3)
     rows = np.column_stack([rep.s, rep.off1, rep.off3])
     write_csv(os.path.join(out_dir, "offset.csv"),

@@ -1,7 +1,11 @@
 """Numerical integration of particle, ensemble and moment flows.
 
-Fixed-step RK4 (default, noise-controlled for twin-trajectory comparisons)
-and adaptive RK45 integrate:
+One integrator, _integrate, takes every RK step in the package: fixed-step
+RK4 (default, noise-controlled for twin-trajectory comparisons) or the
+adaptive Dormand-Prince pair RK45, as IntegratorConfig.method says, on
+states of shape (..., d).  Every entry point honours the method: the
+orbit pushes and ensemble transports here, and beamline's Jacobi
+deviations and Hill principal solutions.  It integrates:
 
 * the Lorentz force  dx/dtau = y, dy/dtau = F(x).y,
 * auto-parallels     x'' + Gamma(x[, x']) x' x' = 0 of any connection,
@@ -66,8 +70,13 @@ class TrajectoryRecord:
 
 
 def _renorm(y):
-    n2 = minkowski(y, y)
-    return y / np.sqrt(n2) if np.ndim(y) == 1 else y / np.sqrt(n2)[:, None]
+    """Project velocities of shape (..., 4) to the unit hyperboloid."""
+    return y / np.sqrt(minkowski(y, y))[..., None]
+
+
+def _max_drift(y):
+    """max |eta(y,y) - 1| over velocities of shape (..., 4)."""
+    return float(np.max(np.abs(minkowski(y, y) - 1.0)))
 
 
 def _rk4_grid(span, cfg):
@@ -77,70 +86,85 @@ def _rk4_grid(span, cfg):
     return nsteps, (s1 - s0) / nsteps
 
 
-def _rk4_path(rhs, state0, span, cfg, project=None):
-    """Fixed-step RK4 storing every state."""
-    s0 = span[0]
-    nsteps, h = _rk4_grid(span, cfg)
+def _integrate(rhs, state0, span, cfg, renorm=False):
+    """Integrate state' = rhs(s, state) over span, storing every state.
+
+    state0 has shape (..., d): one orbit (d,) or an ensemble (N, d).
+    cfg.method "rk4" takes fixed steps on the grid of _rk4_grid; "rk45" is
+    the adaptive Dormand-Prince pair of scipy's solve_ivp.  With renorm the
+    components 4:8 of the last axis are a velocity projected back to the
+    unit hyperboloid: rk4 projects after every step, rk45 projects the
+    saved states after the solve.
+
+    Returns (s, hist, drift): the saved parameter values, the states
+    stacked along a new first axis, and, for rk45 with renorm, the drift
+    max |eta(y,y) - 1| of the saved velocities before their projection,
+    which hist no longer shows; drift is None otherwise.
+    """
+    s0, s1 = span
+    if not s1 > s0:
+        raise ValueError(f"integration span must increase, got {span!r}")
     state = np.array(state0, dtype=float)
-    out_s = [s0]
-    out = [state.copy()]
-    s = s0
+    if cfg.method == "rk45":
+        from scipy.integrate import solve_ivp
+
+        shape = state.shape
+        sol = solve_ivp(lambda s, v: rhs(s, v.reshape(shape)).ravel(), span,
+                        state.ravel(), method="RK45", rtol=cfg.tol,
+                        atol=cfg.tol)
+        if not sol.success:
+            raise FloatingPointError(sol.message)
+        s, hist = sol.t, sol.y.T.reshape((-1,) + shape)
+        if not renorm:
+            return s, hist, None
+        drift = _max_drift(hist[..., 4:])
+        hist[..., 4:] = _renorm(hist[..., 4:])
+        return s, hist, drift
+
+    nsteps, h = _rk4_grid(span, cfg)
+    s = s0 + h * np.arange(nsteps + 1)
+    hist = np.empty((nsteps + 1,) + state.shape)
+    hist[0] = state
     for i in range(nsteps):
-        k1 = rhs(s, state)
-        k2 = rhs(s + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(s + h, state + h * k3)
+        si = s0 + i * h
+        k1 = rhs(si, state)
+        k2 = rhs(si + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(si + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(si + h, state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            state = project(state)
+        if renorm:
+            state[..., 4:] = _renorm(state[..., 4:])
         if not np.isfinite(state).all():
-            raise FloatingPointError(f"non-finite state at step {i}")
-        s = s0 + (i + 1) * h
-        out_s.append(s)
-        out.append(state.copy())
-    return np.array(out_s), np.array(out)
+            msg = f"non-finite state at step {i}"
+            if state.ndim > 1:
+                bad = int(np.argwhere(~np.isfinite(state))[0][0])
+                msg += f", sample {bad}"
+            raise FloatingPointError(msg)
+        hist[i + 1] = state
+    return s, hist, None
 
 
-def _rk45_path(rhs, state0, span, cfg):
-    from scipy.integrate import solve_ivp
+def _second_order(acc):
+    """Right-hand side of x' = y, y' = acc(s, x, y) on states (..., 8)."""
 
-    sol = solve_ivp(rhs, span, np.asarray(state0, dtype=float),
-                    method="RK45", rtol=cfg.tol, atol=cfg.tol, dense_output=False,
-                    max_step=np.inf)
-    if not sol.success:
-        raise FloatingPointError(sol.message)
-    return sol.t, sol.y.T
+    def rhs(s, st):
+        x, y = st[..., :4], st[..., 4:]
+        return np.concatenate([y, acc(s, x, y)], axis=-1)
+
+    return rhs
 
 
 def _push(acc, x0, y0, span, cfg, renorm):
     """Integrate x' = y, y' = acc(s, x, y) into a proper-time record.
 
-    With renorm the velocity is projected back to the unit hyperboloid:
-    rk4 projects after every step, rk45 projects the saved states after the
-    solve.  stats["max_drift"] is max |eta(y,y) - 1| over the saved states
-    as the integrator produced them, so for rk45 it is the drift of the
-    solve itself, before that projection.
+    stats["max_drift"] is max |eta(y,y) - 1| over the saved states as the
+    integrator produced them, so with renorm under rk45 it is the drift of
+    the solve itself, before the projection (see _integrate).
     """
-
-    def rhs(s, st):
-        x, y = st[:4], st[4:]
-        return np.concatenate([y, acc(s, x, y)])
-
-    def project(st):
-        st = st.copy()
-        st[4:] = _renorm(st[4:])
-        return st
-
-    state0 = np.concatenate([x0, y0])
-    if cfg.method == "rk45":
-        s, states = _rk45_path(rhs, state0, span, cfg)
-    else:
-        s, states = _rk4_path(rhs, state0, span, cfg,
-                              project if renorm else None)
+    s, states, drift = _integrate(_second_order(acc),
+                                  np.concatenate([x0, y0]), span, cfg, renorm)
     y = states[:, 4:]
-    drift = float(np.max(np.abs(minkowski(y, y) - 1.0)))
-    if renorm and cfg.method == "rk45":
-        y = _renorm(y)
+    drift = _max_drift(y) if drift is None else drift
     return TrajectoryRecord(s, states[:, :4], y, "tau",
                             {"steps": len(s) - 1, "max_drift": drift})
 
@@ -198,29 +222,11 @@ def to_lab_time(rec, times=None, n=None):
 # Ensemble transport
 # ---------------------------------------------------------------------------
 
-def _vector_rk4(rhs, Y0, span, cfg, project=None):
-    """RK4 for an (N, d) state array, storing every state."""
-    s0 = span[0]
-    nsteps, h = _rk4_grid(span, cfg)
-    Y = np.array(Y0, dtype=float)
-    taus = [s0]
-    states = [Y.copy()]
-    for i in range(nsteps):
-        s = s0 + i * h
-        k1 = rhs(s, Y)
-        k2 = rhs(s + 0.5 * h, Y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, Y + 0.5 * h * k2)
-        k4 = rhs(s + h, Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project is not None:
-            Y = project(Y)
-        if not np.isfinite(Y).all():
-            bad = int(np.argwhere(~np.isfinite(Y))[0][0])
-            raise FloatingPointError(
-                f"non-finite ensemble state at step {i}, sample {bad}")
-        taus.append(s0 + (i + 1) * h)
-        states.append(Y.copy())
-    return np.array(taus), np.array(states)
+def _transport(acc, ens, tau_span, cfg, lab_times, renorm):
+    """Advect every sample with y' = acc(s, x, y) on (N, 4) batches."""
+    Y0 = np.concatenate([ens.x, ens.y], axis=1)
+    taus, hist, _ = _integrate(_second_order(acc), Y0, tau_span, cfg, renorm)
+    return _slice_history(ens, taus, hist, lab_times)
 
 
 def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
@@ -241,26 +247,14 @@ def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
         # dF[k, (i, j)] = d_k F^i_j, so x @ dF is the batch of x^k d_k F
         dF = None if field.uniform else field.gradient0.reshape(4, 16)
 
-    def rhs(_s, Y):
-        x, y = Y[:, :4], Y[:, 4:]
+    def acc(_s, x, y):
         if not field.affine:
-            acc = np.array([field.mixed(xa) @ ya for xa, ya in zip(x, y)])
-        elif dF is None:
-            acc = y @ F0T
-        else:
-            acc = y @ F0T + ((x @ dF).reshape(-1, 4, 4)
-                             @ y[:, :, None])[:, :, 0]
-        return np.concatenate([y, acc], axis=1)
+            return np.array([field.mixed(xa) @ ya for xa, ya in zip(x, y)])
+        if dF is None:
+            return y @ F0T
+        return y @ F0T + ((x @ dF).reshape(-1, 4, 4) @ y[:, :, None])[:, :, 0]
 
-    def project(Y):
-        Y = Y.copy()
-        Y[:, 4:] = _renorm(Y[:, 4:])
-        return Y
-
-    Y0 = np.concatenate([ens.x, ens.y], axis=1)
-    taus, hist = _vector_rk4(rhs, Y0, tau_span, cfg,
-                             project if renorm else None, )
-    return _slice_history(ens, taus, hist, lab_times)
+    return _transport(acc, ens, tau_span, cfg, lab_times, renorm)
 
 
 def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
@@ -277,33 +271,21 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
 
     cfg = cfg or IntegratorConfig()
     renorm = False if cfg.renormalize is None else cfg.renormalize
-    frozen = ens.moments() if moments == "frozen" else None
-    static = moments if isinstance(moments, MomentSet) else None
     p = ens.w / ens.w.sum()
+    if moments == "frozen":
+        moments = ens.moments()
 
-    def rhs(_s, Y):
-        x, y = Y[:, :4], Y[:, 4:]
+    def acc(_s, x, y):
         if moments == "self":
             ms = MomentSet.from_samples(y, ens.w)
-        elif frozen is not None:
-            ms = frozen
-        elif static is not None:
-            ms = static
+        elif isinstance(moments, MomentSet):
+            ms = moments
         else:
             ms = moments(x[0])
         G = averaged_table(field, (p @ x), ms)
-        acc = -np.einsum("ijk,aj,ak->ai", G, y, y)
-        return np.concatenate([y, acc], axis=1)
+        return -np.einsum("ijk,aj,ak->ai", G, y, y)
 
-    def project(Y):
-        Y = Y.copy()
-        Y[:, 4:] = _renorm(Y[:, 4:])
-        return Y
-
-    Y0 = np.concatenate([ens.x, ens.y], axis=1)
-    taus, hist = _vector_rk4(rhs, Y0, tau_span, cfg,
-                             project if renorm else None, )
-    return _slice_history(ens, taus, hist, lab_times)
+    return _transport(acc, ens, tau_span, cfg, lab_times, renorm)
 
 
 def _slice_history(ens, taus, hist, lab_times):
@@ -319,6 +301,11 @@ def _slice_history(ens, taus, hist, lab_times):
         X[:, a, :] = PchipInterpolator(t_a, hist[:, a, :4], axis=0)(lab_times)
         Yv[:, a, :] = PchipInterpolator(t_a, hist[:, a, 4:], axis=0)(lab_times)
     return lab_times, [ens.with_state(X[i], Yv[i]) for i in range(len(lab_times))]
+
+
+def history_at(taus, hist, tau):
+    """The entry of a proper-time history (taus, hist) nearest to tau."""
+    return hist[int(np.argmin(np.abs(taus - tau)))]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 from .geometry import boost_to_rest, minkowski
 from .connections import averaged_table
 from .distribution import MomentSet, diameter_alpha
-from .dynamics import (IntegratorConfig, TransportedMoments,
+from .dynamics import (IntegratorConfig, TransportedMoments, history_at,
                        transport_ensemble, transport_ensemble_averaged)
 
 #: Cells across the co-moving tube.
@@ -144,11 +144,8 @@ def residual(field, ens, tau=0.05, h_tau=None, cfg=None,
                                                  cfg, moments="self")
     else:
         taus, hist = transport_ensemble(field, ens, (0.0, span_end), cfg)
-
-    def nearest(s):
-        return hist[int(np.argmin(np.abs(taus - s)))]
-
-    e_m, e_0, e_p = nearest(tau - h_tau), nearest(tau), nearest(tau + h_tau)
+    e_m, e_0, e_p = (history_at(taus, hist, s)
+                     for s in (tau - h_tau, tau, tau + h_tau))
     sl_m = mean_field(e_m, n_cells)
     sl_0 = mean_field(e_0, n_cells)
     sl_p = mean_field(e_p, n_cells)
@@ -291,11 +288,7 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     kw = {"moments": "self"} if transport == "averaged" else {}
     taus, hist_sl = advect(field, ens, (0.0, tau + max(h_tau, 2 * cfg.step)),
                            cfg, **kw)
-
-    def nearest(s):
-        return hist_sl[int(np.argmin(np.abs(taus - s)))]
-
-    e_0 = nearest(tau)
+    e_0 = history_at(taus, hist_sl, tau)
     p = ens.w / ens.w.sum()
     m_0 = p @ e_0.y
     g = minkowski(m_0, m_0)
@@ -313,7 +306,8 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
         # rest-frame time advanced by the centroid between the two slices
         dt = 2.0 * h_tau * np.sqrt(g)
     else:
-        e_m, e_p = nearest(tau - h_tau), nearest(tau + h_tau)
+        e_m = history_at(taus, hist_sl, tau - h_tau)
+        e_p = history_at(taus, hist_sl, tau + h_tau)
         m_m, m_p = lam @ (p @ e_m.y), lam @ (p @ e_p.y)
         dt = float((lam @ (p @ (e_p.x - e_m.x)))[0])
 

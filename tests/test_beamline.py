@@ -6,7 +6,7 @@ from avbeam.beamline import (averaged_offset, green, integrate_jacobi,
                              principal_solutions, HillSystem)
 from avbeam.connections import LorentzConnection, TildeConnection
 from avbeam.distribution import MomentSet, lift, rapidity_cap
-from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord, _rk4_path,
+from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord, _integrate,
                              push_lorentz)
 from avbeam.geometry import minkowski
 from avbeam.fields import make_preset, zero_field
@@ -144,12 +144,38 @@ def test_principal_pair_is_the_two_single_passes():
         u, du = st
         return np.array([du, -c(s) * du - K(s) * u])
 
-    sC, C = _rk4_path(rhs, np.array([1.0, 0.0]), SPAN, CFG)
-    sS, S = _rk4_path(rhs, np.array([0.0, 1.0]), SPAN, CFG)
+    sC, C, _ = _integrate(rhs, np.array([1.0, 0.0]), SPAN, CFG)
+    sS, S, _ = _integrate(rhs, np.array([0.0, 1.0]), SPAN, CFG)
     assert np.array_equal(pp.s, sC) and np.array_equal(pp.s, sS)
     for got, want in ((pp.C, C[:, 0]), (pp.Cp, C[:, 1]),
                       (pp.S, S[:, 0]), (pp.Sp, S[:, 1])):
         assert np.array_equal(got, want)
+
+
+RK45 = IntegratorConfig(method="rk45", tol=1e-11)
+
+
+def test_principal_solutions_honour_rk45():
+    system = HillSystem(K=lambda s: 1.0 + 0.5 * np.sin(s), damping=0.3)
+    p4 = principal_solutions(system, SPAN, CFG)
+    p45 = principal_solutions(system, SPAN, RK45)
+    assert len(p45.s) != len(p4.s) and p45.s[-1] == SPAN[1]
+    for a, b in ((p45.C, p4.C), (p45.S, p4.S), (p45.Cp, p4.Cp),
+                 (p45.Sp, p4.Sp)):
+        assert abs(a[-1] - b[-1]) < 1e-8
+
+
+def test_integrate_jacobi_honours_rk45():
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    ref, _ = reference_orbit(field)
+    conn = LorentzConnection(field)
+    xi0 = np.array([0.0, 0.3, 0.1, 0.2])
+    dxi0 = np.array([0.0, 0.0, 0.1, -0.2])
+    r4 = integrate_jacobi(conn, ref, xi0, dxi0, (0.0, 1.0), CFG)
+    r45 = integrate_jacobi(conn, ref, xi0, dxi0, (0.0, 1.0), RK45)
+    assert len(r45.s) != len(r4.s) and r45.s[-1] == 1.0
+    assert np.max(np.abs(r45.xi[-1] - r4.xi[-1])) < 1e-8
+    assert np.max(np.abs(r45.dxi[-1] - r4.dxi[-1])) < 1e-8
 
 
 class FiniteDifferenceLorentz:
@@ -230,13 +256,6 @@ def test_offset_grows_with_spread(dipole):
 
 def test_offset_epsilon_override_and_modes(dipole):
     ref, _ = reference_orbit(dipole)
-    ms = rapidity_cap(200, r0=1.0, r_cap=0.1, seed=1).moments()
-    frozen = averaged_offset(dipole, ref, ms, (0.0, 1.0), mode="frozen")
-    full = averaged_offset(dipole, ref, ms, (0.0, 1.0), mode="full")
-    # uniform field: gradient term vanishes, modes agree
-    assert np.max(np.abs(frozen.off1 - full.off1)) < 1e-14
-    with pytest.raises(ValueError):
-        averaged_offset(dipole, ref, ms, (0.0, 1.0), mode="bogus")
     zero_eps = averaged_offset(dipole, ref, delta_moments_along(ref),
                                (0.0, 1.0), epsilon=lambda s: np.zeros(4))
     assert np.max(np.abs(zero_eps.off1)) < 1e-12

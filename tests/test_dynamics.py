@@ -7,7 +7,8 @@ from avbeam.connections import (LorentzConnection, TableConnection,
                                 averaged_table)
 from avbeam.distribution import delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord,
-                             TransportedMoments, liouville_residual, push_averaged_transported,
+                             TransportedMoments, _integrate,
+                             liouville_residual, push_averaged_transported,
                              push_connection, push_lorentz, to_lab_time,
                              transport_ensemble, transport_ensemble_averaged)
 from avbeam.fields import FaradayField, make_preset
@@ -309,3 +310,119 @@ def test_push_averaged_transported_rk45_matches_rk4():
                                     IntegratorConfig(method="rk45", tol=1e-11))
     assert np.max(np.abs(r4.x[-1] - r45.x[-1])) < 1e-8
     assert np.max(np.abs(r4.y[-1] - r45.y[-1])) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The one integrator against a textbook RK4
+# ---------------------------------------------------------------------------
+
+SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def textbook_rk4(rhs, state0, span, step, project=False):
+    """Classical RK4 on the even grid of n = round(span / step) steps,
+    optionally projecting components 4:8 to eta(y, y) = 1 after each step.
+    Keeps going through non-finite states."""
+    s0, s1 = span
+    n = max(1, int(round((s1 - s0) / step)))
+    h = (s1 - s0) / n
+    states = [np.array(state0, dtype=float)]
+    for i in range(n):
+        s, u = s0 + i * h, states[-1]
+        k1 = rhs(s, u)
+        k2 = rhs(s + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(s + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project:
+            y = u[..., 4:]
+            u = np.concatenate(
+                [u[..., :4],
+                 y / np.sqrt(np.sum(y * y * SIGNS, axis=-1))[..., None]],
+                axis=-1)
+        states.append(u)
+    return s0 + h * np.arange(n + 1), np.array(states)
+
+
+def lorentz_like_rhs(s, st):
+    """x' = y, y' = F y + a small time- and position-dependent push."""
+    F = make_preset("normal-quad+dipole", b0=1.0, b1=0.4).mixed0
+    x, y = st[..., :4], st[..., 4:]
+    push = 0.05 * np.sin(s) * np.tanh(x[..., ::-1])
+    return np.concatenate([y, y @ F.T + push], axis=-1)
+
+
+@pytest.mark.parametrize("case", ["orbit", "ensemble", "ensemble-projected"])
+def test_integrator_is_textbook_rk4(case):
+    ens = rapidity_cap(6, r0=1.0, r_cap=0.2, seed=2)
+    state0 = np.concatenate([ens.x + 0.1, ens.y], axis=1)
+    if case == "orbit":
+        state0 = state0[0]
+    project = case == "ensemble-projected"
+    span, cfg = (0.25, 1.5), IntegratorConfig(step=1e-2)
+    s, hist, drift = _integrate(lorentz_like_rhs, state0, span, cfg, project)
+    s_ref, hist_ref = textbook_rk4(lorentz_like_rhs, state0, span, 1e-2,
+                                   project)
+    assert hist.shape == hist_ref.shape == (126,) + state0.shape
+    assert np.array_equal(s, s_ref)
+    assert np.array_equal(hist, hist_ref)
+    assert drift is None
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 2)])
+def test_integrator_names_the_nonfinite_step_and_sample(shape):
+    """u' = u^2 from u = 1 blows up at s = 1; in the ensemble only sample 2
+    starts there, the others sit at the fixed point 0."""
+
+    def rhs(_s, u):
+        return u * u
+
+    u0 = np.zeros(shape)
+    u0[..., 0] = 1.0 if len(shape) == 1 else 0.0
+    if len(shape) == 2:
+        u0[2, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ref = textbook_rk4(rhs, u0, (0.0, 2.0), 1e-2)
+        first = int(np.argmax(~np.isfinite(ref).reshape(len(ref), -1)
+                              .all(axis=1))) - 1
+        with pytest.raises(FloatingPointError) as info:
+            _integrate(rhs, u0, (0.0, 2.0), IntegratorConfig(step=1e-2))
+    want = f"non-finite state at step {first}"
+    if len(shape) == 2:
+        want += ", sample 2"
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_reversed_or_empty_span_raises(method):
+    """A span that does not increase is refused, not integrated backwards
+    in one step."""
+    field = make_preset("constant-B", b=1.0)
+    cfg = IntegratorConfig(method=method, step=1e-3)
+    for span in ((0.0, -1.0), (0.0, 0.0), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="span"):
+            push_lorentz(field, np.zeros(4), gyro_initial(5.0), span, cfg)
+
+
+def test_transport_ensemble_honours_rk45():
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    ens = rapidity_cap(8, r0=1.0, r_cap=0.1, seed=6, axis=1)
+    t4, h4 = transport_ensemble(field, ens, (0.0, 1.0),
+                                IntegratorConfig(step=1e-3))
+    t45, h45 = transport_ensemble(field, ens, (0.0, 1.0),
+                                  IntegratorConfig(method="rk45", tol=1e-11))
+    assert len(t45) != len(t4) and t45[-1] == 1.0
+    assert np.max(np.abs(h45[-1].x - h4[-1].x)) < 1e-8
+    assert np.max(np.abs(h45[-1].y - h4[-1].y)) < 1e-8
+
+
+def test_transport_ensemble_averaged_honours_rk45():
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = rapidity_cap(8, r0=1.0, r_cap=0.1, seed=6, axis=1)
+    t4, h4 = transport_ensemble_averaged(field, ens, (0.0, 1.0),
+                                         IntegratorConfig(step=1e-3))
+    t45, h45 = transport_ensemble_averaged(
+        field, ens, (0.0, 1.0), IntegratorConfig(method="rk45", tol=1e-11))
+    assert len(t45) != len(t4) and t45[-1] == 1.0
+    assert np.max(np.abs(h45[-1].x - h4[-1].x)) < 1e-8
+    assert np.max(np.abs(h45[-1].y - h4[-1].y)) < 1e-8
