@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .geometry import lower, minkowski
+from .geometry import ETA, lower, minkowski
 
 
 @dataclass
@@ -259,7 +259,15 @@ def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
 
 def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
                                 moments="self"):
-    """Advect every sample as an auto-parallel of the averaged connection.
+    """Advect every sample with the averaged spray of the samples' moments,
+
+        y' = -<Gamma>(y, y) / sqrt(eta(y, y)),
+
+    homogeneous of degree 1 in y like the Lorentz force: on the unit
+    hyperboloid the samples are auto-parallels of the averaged connection,
+    and off it they turn at the rate of the moments, as the averaged twin
+    of push_averaged_transported does.  The degree-2 spray -<Gamma>(y, y)
+    would lag the moments and walk the samples out of the support.
 
     moments="self"   recompute the averaged coefficients from the moving
                      ensemble at every stage (time-refreshed averaging);
@@ -283,7 +291,10 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
         else:
             ms = moments(x[0])
         G = averaged_table(field, (p @ x), ms)
-        return -np.einsum("ijk,aj,ak->ai", G, y, y)
+        # y^j y^k per sample, contracted with <Gamma>^i_jk and with eta_jk
+        yy = (y[:, :, None] * y[:, None, :]).reshape(-1, 16)
+        return (-(yy @ G.reshape(4, 16).T)
+                / np.sqrt(yy @ ETA.reshape(16))[:, None])
 
     return _transport(acc, ens, tau_span, cfg, lab_times, renorm)
 

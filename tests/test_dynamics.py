@@ -220,6 +220,20 @@ def test_averaged_transport_delta_coincides_with_lorentz():
     assert np.max(np.abs(ha[-1].x - hl[-1].x)) < 1e-10
 
 
+def test_averaged_transport_of_a_cap_stays_on_shell_to_t300():
+    """The averaged samples follow the degree-1 spray, so an E = 10 cap stays
+    near the hyperboloid out to lab time 300; the degree-2 spray
+    -<Gamma>(y, y) lagged the moments and overflowed near t = 226."""
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = rapidity_cap(64, r0=float(np.arccosh(10.0)), r_cap=0.01, seed=11,
+                       axis=1, aspect=(0.0, 1.0, 1.0))
+    _, hist = transport_ensemble_averaged(field, ens, (0.0, 30.0),
+                                          IntegratorConfig(step=5e-3))
+    assert np.min(hist[-1].x[:, 0]) > 300.0
+    drift = max(np.max(np.abs(minkowski(h.y, h.y) - 1.0)) for h in hist)
+    assert drift < 1e-3
+
+
 def test_push_averaged_transported_delta_twin():
     field = make_preset("normal-dipole", b0=1.0)
     y0 = gyro_initial(5.0)
