@@ -358,12 +358,14 @@ def textbook_rk4(rhs, state0, span, step, project=False):
     return s0 + h * np.arange(n + 1), np.array(states)
 
 
+QUAD_DIPOLE_F0 = make_preset("normal-quad+dipole", b0=1.0, b1=0.4).mixed0
+
+
 def lorentz_like_rhs(s, st):
     """x' = y, y' = F y + a small time- and position-dependent push."""
-    F = make_preset("normal-quad+dipole", b0=1.0, b1=0.4).mixed0
     x, y = st[..., :4], st[..., 4:]
     push = 0.05 * np.sin(s) * np.tanh(x[..., ::-1])
-    return np.concatenate([y, y @ F.T + push], axis=-1)
+    return np.concatenate([y, y @ QUAD_DIPOLE_F0.T + push], axis=-1)
 
 
 @pytest.mark.parametrize("case", ["orbit", "ensemble", "ensemble-projected"])
@@ -392,9 +394,7 @@ def test_integrator_names_the_nonfinite_step_and_sample(shape):
         return u * u
 
     u0 = np.zeros(shape)
-    u0[..., 0] = 1.0 if len(shape) == 1 else 0.0
-    if len(shape) == 2:
-        u0[2, 0] = 1.0
+    u0[(0,) if len(shape) == 1 else (2, 0)] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         _, ref = textbook_rk4(rhs, u0, (0.0, 2.0), 1e-2)
         first = int(np.argmax(~np.isfinite(ref).reshape(len(ref), -1)
