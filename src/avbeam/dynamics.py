@@ -3,8 +3,9 @@
 One integrator, _integrate, takes every RK step in the package: fixed-step
 RK4 (default, noise-controlled for twin-trajectory comparisons) or the
 adaptive Dormand-Prince pair RK45, as IntegratorConfig.method says, on
-states of shape (..., d).  Every entry point honours the method: the
-orbit pushes and ensemble transports here, and beamline's Jacobi
+states of shape (..., d).  Every entry point that integrates honours the
+method: the orbit pushes and the averaged ensemble transport here, the
+kinetic transport in a non-uniform field, and beamline's Jacobi
 deviations and Hill principal solutions.  It integrates:
 
 * the Lorentz force  dx/dtau = y, dy/dtau = F(x).y,
@@ -13,6 +14,12 @@ deviations and Hill principal solutions.  It integrates:
   along unchanged), and
 * the closed moment flow m' = F m, Q' = F (x) Q (+ permutations) that the
   raw velocity moments obey exactly in a spatially uniform field.
+
+The one flow taken without RK steps is the kinetic ensemble transport in a
+uniform field, which is linear: x(tau) = x0 + P(tau) y0, y(tau) = R(tau) y0
+with both propagators from one matrix exponential (_uniform_flow).
+Ensemble transports return their history as an EnsembleHistory, which
+builds the ensemble of a saved step only when it is indexed.
 
 Trajectories are parameterized by proper time tau; x^0 is lab time, so
 records can be resampled at common lab times for the comparison theorems.
@@ -86,6 +93,14 @@ def _rk4_grid(span, cfg):
     return nsteps, (s1 - s0) / nsteps
 
 
+def _checked_span(span):
+    """span as (s0, s1); ValueError unless it increases."""
+    s0, s1 = span
+    if not s1 > s0:
+        raise ValueError(f"integration span must increase, got {span!r}")
+    return s0, s1
+
+
 def _integrate(rhs, state0, span, cfg, renorm=False):
     """Integrate state' = rhs(s, state) over span, storing every state.
 
@@ -101,9 +116,7 @@ def _integrate(rhs, state0, span, cfg, renorm=False):
     max |eta(y,y) - 1| of the saved velocities before their projection,
     which hist no longer shows; drift is None otherwise.
     """
-    s0, s1 = span
-    if not s1 > s0:
-        raise ValueError(f"integration span must increase, got {span!r}")
+    s0, s1 = _checked_span(span)
     state = np.array(state0, dtype=float)
     if cfg.method == "rk45":
         from scipy.integrate import solve_ivp
@@ -222,6 +235,65 @@ def to_lab_time(rec, times=None, n=None):
 # Ensemble transport
 # ---------------------------------------------------------------------------
 
+class EnsembleHistory:
+    """Read-only sequence of the ensembles saved along a transport.
+
+    state(i) gives the positions and velocities, (N, 4) each, of saved
+    step i; the Ensemble, with the weights, observer and metadata of the
+    initial one, is built only when the step is indexed.  Supports len,
+    negative indices and iteration.
+    """
+
+    def __init__(self, ens, n, state):
+        self._ens, self._n, self._state = ens, n, state
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        i = range(self._n)[i]
+        if not isinstance(i, int):
+            raise TypeError("an ensemble history is indexed by integers")
+        return self._ens.with_state(*self._state(i))
+
+
+def _uniform_flow(F, taus):
+    """Propagators of x' = y, y' = F y at proper time(s) taus.
+
+    Returns (P, R), each of shape taus.shape + (4, 4), with
+    R(tau) = expm(F tau) and P(tau) = int_0^tau R, so that
+    x(tau) = x0 + P y0 and y(tau) = R y0.  Both are blocks of one 8x8
+    exponential (Van Loan, IEEE Trans. Autom. Control 23, 395-404, 1978):
+    expm([[0, I], [0, F]] tau) = [[I, P(tau)], [0, R(tau)]].
+    """
+    from scipy.linalg import expm
+
+    A = np.zeros((8, 8))
+    A[:4, 4:] = np.eye(4)
+    A[4:, 4:] = F
+    U = expm(np.multiply.outer(taus, A))
+    return U[..., :4, 4:], U[..., 4:, 4:]
+
+
+def _transport_uniform(F, ens, tau_span, cfg, lab_times):
+    """Kinetic transport in the uniform field F, on the _rk4_grid of
+    tau_span, from the propagators of _uniform_flow: no RK step."""
+    s0, _ = _checked_span(tau_span)
+    nsteps, h = _rk4_grid(tau_span, cfg)
+    steps = h * np.arange(nsteps + 1)
+    x0, y0 = ens.x, ens.y
+    if lab_times is None:
+        def state(i):
+            P, R = _uniform_flow(F, steps[i])
+            return x0 + y0 @ P.T, y0 @ R.T
+
+        return s0 + steps, EnsembleHistory(ens, nsteps + 1, state)
+    P, R = _uniform_flow(F, steps)
+    hist = np.concatenate([x0 + y0 @ np.swapaxes(P, 1, 2),
+                           y0 @ np.swapaxes(R, 1, 2)], axis=-1)
+    return _slice_history(ens, s0 + steps, hist, lab_times)
+
+
 def _transport(acc, ens, tau_span, cfg, lab_times, renorm):
     """Advect every sample with y' = acc(s, x, y) on (N, 4) batches."""
     Y0 = np.concatenate([ens.x, ens.y], axis=1)
@@ -233,25 +305,34 @@ def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
     """Advect every sample with the Lorentz flow (kinetic transport).
 
     Weights are untouched (collisionless transport: the distribution is
-    constant along characteristics).  A field that declares itself affine
-    is evaluated for all samples at once,
-    F(x_a) y_a = F(0) y_a + x_a^k (d_k F) y_a; any other field is evaluated
-    sample by sample.  Returns the full proper-time history when lab_times
-    is None, else ensembles sliced at the requested lab times by per-sample
-    monotone interpolation.
+    constant along characteristics).  A uniform field (field.uniform) takes
+    no RK step: the flow is linear, x(tau) = x0 + P(tau) y0 and
+    y(tau) = R(tau) y0, and every saved state comes from its exact
+    propagators (_uniform_flow) on the RK4 grid of cfg.step, whatever
+    cfg.method and cfg.renormalize say (R is a Lorentz transformation, so
+    y stays on the hyperboloid to rounding).  Any other field is
+    integrated as cfg says: a field that declares itself affine is
+    evaluated for all samples at once,
+    F(x_a) y_a = F(0) y_a + x_a^k (d_k F) y_a, and a general field sample
+    by sample.
+
+    Returns (taus, history), an EnsembleHistory of the proper-time states
+    when lab_times is None; else (lab_times, history) of ensembles sliced
+    at the requested lab times by per-sample monotone interpolation of the
+    proper-time states.
     """
     cfg = cfg or IntegratorConfig()
+    if field.uniform:
+        return _transport_uniform(field.mixed0, ens, tau_span, cfg, lab_times)
     renorm = True if cfg.renormalize is None else cfg.renormalize
     if field.affine:
         F0T = field.mixed0.T
         # dF[k, (i, j)] = d_k F^i_j, so x @ dF is the batch of x^k d_k F
-        dF = None if field.uniform else field.gradient0.reshape(4, 16)
+        dF = field.gradient0.reshape(4, 16)
 
     def acc(_s, x, y):
         if not field.affine:
             return np.array([field.mixed(xa) @ ya for xa, ya in zip(x, y)])
-        if dF is None:
-            return y @ F0T
         return y @ F0T + ((x @ dF).reshape(-1, 4, 4) @ y[:, :, None])[:, :, 0]
 
     return _transport(acc, ens, tau_span, cfg, lab_times, renorm)
@@ -273,6 +354,9 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
                      ensemble at every stage (time-refreshed averaging);
     moments="frozen" use the initial moments throughout;
     a MomentSet or callable x -> MomentSet is used as given.
+
+    Returns (taus, history) or (lab_times, history) as transport_ensemble
+    does; the history is an EnsembleHistory over the integrated states.
     """
     from .connections import averaged_table
     from .distribution import MomentSet
@@ -300,22 +384,28 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
 
 
 def _slice_history(ens, taus, hist, lab_times):
-    """hist: (n_tau, N, 8).  Slice at lab times or return the tau history."""
-    if lab_times is None:
-        return taus, [ens.with_state(H[:, :4], H[:, 4:]) for H in hist]
-    lab_times = np.asarray(lab_times, dtype=float)
-    n = hist.shape[1]
-    X = np.empty((len(lab_times), n, 4))
-    Yv = np.empty((len(lab_times), n, 4))
-    for a in range(n):
-        t_a = hist[:, a, 0]
-        X[:, a, :] = PchipInterpolator(t_a, hist[:, a, :4], axis=0)(lab_times)
-        Yv[:, a, :] = PchipInterpolator(t_a, hist[:, a, 4:], axis=0)(lab_times)
-    return lab_times, [ens.with_state(X[i], Yv[i]) for i in range(len(lab_times))]
+    """History of the states hist, (n_tau, N, 8), at the proper times taus;
+    or, given lab_times, at those lab times by per-sample monotone
+    interpolation in x^0."""
+    if lab_times is not None:
+        taus = np.asarray(lab_times, dtype=float)
+        hist = np.stack([PchipInterpolator(hist[:, a, 0], hist[:, a],
+                                           axis=0)(taus)
+                         for a in range(hist.shape[1])], axis=1)
+    return taus, EnsembleHistory(ens, len(taus),
+                                 lambda i: (hist[i, :, :4], hist[i, :, 4:]))
 
 
 def history_at(taus, hist, tau):
-    """The entry of a proper-time history (taus, hist) nearest to tau."""
+    """The entry of a proper-time history (taus, hist) nearest to tau.
+
+    A tau outside [taus[0], taus[-1]] by more than a rounding slack raises
+    ValueError: clamping it to an end entry would put a stencil off centre.
+    """
+    slack = 1e-9 * (taus[-1] - taus[0])
+    if not taus[0] - slack <= tau <= taus[-1] + slack:
+        raise ValueError(f"tau = {tau!r} lies outside the history's span "
+                         f"[{taus[0]!r}, {taus[-1]!r}]")
     return hist[int(np.argmin(np.abs(taus - tau)))]
 
 

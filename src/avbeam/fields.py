@@ -26,7 +26,8 @@ class FaradayField:
     gradient; the field then carries mixed0 = F^i_j(0) and
     gradient0 = d_k F^i_j, so ensembles can be evaluated in one batch
     (dynamics.transport_ensemble).  uniform is true for an affine field
-    whose declared gradient is zero: F does not depend on x.
+    whose declared gradient is zero: F does not depend on x, and kinetic
+    transport takes the exact linear flow instead of RK steps.
     """
 
     def __init__(self, evaluator, gradient=None, name="custom", fd_step=1e-4,

@@ -135,6 +135,10 @@ def residual(field, ens, tau=0.05, h_tau=None, cfg=None,
     transport selects the advection of the samples: "kinetic" pushes them
     with the Lorentz flow, "averaged" as auto-parallels of the averaged
     connection (the mean field of the averaged kinetic equation).
+
+    The stencil needs tau >= h_tau (h_tau defaults to max(tau/50, 1e-3));
+    a tau - h_tau before the start of the transport raises ValueError
+    (dynamics.history_at).
     """
     h_tau = h_tau or max(tau / 50.0, 1e-3)
     cfg = cfg or IntegratorConfig(step=min(h_tau / 4.0, 1e-3))

@@ -5,9 +5,10 @@ from scipy.linalg import expm
 
 from avbeam.connections import (LorentzConnection, TableConnection,
                                 averaged_table)
-from avbeam.distribution import delta_ensemble, lift, rapidity_cap
+from avbeam import dynamics
+from avbeam.distribution import Ensemble, delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import (IntegratorConfig, TrajectoryRecord,
-                             TransportedMoments, _integrate,
+                             TransportedMoments, _integrate, history_at,
                              liouville_residual, push_averaged_transported,
                              push_connection, push_lorentz, to_lab_time,
                              transport_ensemble, transport_ensemble_averaged)
@@ -440,3 +441,154 @@ def test_transport_ensemble_averaged_honours_rk45():
     assert len(t45) != len(t4) and t45[-1] == 1.0
     assert np.max(np.abs(h45[-1].x - h4[-1].x)) < 1e-8
     assert np.max(np.abs(h45[-1].y - h4[-1].y)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Exact kinetic transport in a uniform field
+# ---------------------------------------------------------------------------
+
+def spread_cap(n=40):
+    """An E = 10 dipole cap spread in position as well as in velocity."""
+    cap = rapidity_cap(n, r0=float(np.arccosh(10.0)), r_cap=0.05, seed=4,
+                       axis=1, aspect=(0.0, 1.0, 1.0))
+    x = np.random.default_rng(9).normal(scale=0.5, size=(n, 4))
+    x[:, 0] = 0.0
+    return cap.with_state(x, cap.y)
+
+
+def non_affine_copy(field):
+    """The same field evaluated sample by sample through RK4."""
+    copy = FaradayField(field.lowered, gradient=field.gradient_lowered,
+                        name="per-sample copy")
+    assert field.uniform and not copy.affine
+    return copy
+
+
+def test_uniform_transport_matches_rk4():
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = spread_cap()
+    cfg = IntegratorConfig(step=1e-3)
+    taus, exact = transport_ensemble(field, ens, (0.0, 1.0), cfg)
+    taus_rk, rk = transport_ensemble(non_affine_copy(field), ens, (0.0, 1.0),
+                                     cfg)
+    assert np.array_equal(taus, taus_rk) and len(exact) == len(rk) == 1001
+    for i in (0, 1, 500, -1):
+        for got, want in ((exact[i].x, rk[i].x), (exact[i].y, rk[i].y)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.array_equal(exact[0].x, ens.x)
+    assert np.array_equal(exact[0].y, ens.y)
+
+
+def test_uniform_transport_stays_on_the_hyperboloid():
+    """R(tau) is a Lorentz transformation to rounding; no projection is
+    needed (the E = 10 samples start 2.5e-14 off the shell)."""
+    field = make_preset("normal-dipole", b0=1.0)
+    _, hist = transport_ensemble(field, spread_cap(), (0.0, 1.0),
+                                 IntegratorConfig(step=1e-2))
+    drift = max(np.max(np.abs(minkowski(h.y, h.y) - 1.0)) for h in hist)
+    assert drift < 1e-13
+
+
+def test_uniform_transport_takes_no_rk_step(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an RK step was taken")
+
+    monkeypatch.setattr(dynamics, "_integrate", refuse)
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = spread_cap(8)
+    taus, hist = transport_ensemble(field, ens, (0.0, 0.5))
+    assert len(hist) == len(taus) == 501
+    _, sliced = transport_ensemble(field, ens, (0.0, 0.5), None, [0.5, 1.0])
+    assert len(sliced) == 2
+    with pytest.raises(AssertionError):
+        transport_ensemble(non_affine_copy(field), ens, (0.0, 0.5))
+
+
+def test_uniform_transport_refuses_spans_that_do_not_increase():
+    field = make_preset("normal-dipole", b0=1.0)
+    for span in ((0.0, -1.0), (0.0, 0.0), (1.0, 0.5)):
+        with pytest.raises(ValueError, match="span"):
+            transport_ensemble(field, spread_cap(4), span)
+
+
+def test_uniform_transport_ignores_method_and_renormalize():
+    """method and renormalize are moot in a uniform field: an rk45 config
+    gets the exact states on the grid of its step."""
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = spread_cap(8)
+    want_t, want = transport_ensemble(field, ens, (0.0, 1.0),
+                                      IntegratorConfig(step=1e-2))
+    for cfg in (IntegratorConfig(method="rk45", tol=1e-6, step=1e-2),
+                IntegratorConfig(step=1e-2, renormalize=False)):
+        got_t, got = transport_ensemble(field, ens, (0.0, 1.0), cfg)
+        assert np.array_equal(got_t, want_t)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.x, w.x) and np.array_equal(g.y, w.y)
+
+
+def test_uniform_transport_lab_slices_match_rk4():
+    field = make_preset("normal-dipole", b0=1.0)
+    ens = spread_cap()
+    cfg = IntegratorConfig(step=1e-3)
+    times = np.linspace(0.0, 9.0, 7)
+    got_t, exact = transport_ensemble(field, ens, (0.0, 1.0), cfg, times)
+    _, rk = transport_ensemble(non_affine_copy(field), ens, (0.0, 1.0), cfg,
+                               times)
+    assert np.array_equal(got_t, times) and len(exact) == 7
+    for e, r in zip(exact, rk):
+        assert np.max(np.abs(e.x[:, 0] - r.x[:, 0])) < 1e-12
+        for got, want in ((e.x, r.x), (e.y, r.y)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Ensemble histories
+# ---------------------------------------------------------------------------
+
+def test_history_is_the_eager_list_built_on_demand(monkeypatch):
+    """Every element of the lazy history has the bits of the list of
+    copied ensembles built from the integrated states."""
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    cap = spread_cap(12)
+    w = np.linspace(1.0, 2.0, len(cap))
+    ens = Ensemble(cap.x, cap.y, w, metadata={"label": "probe"})
+    kept = {}
+    integrate = dynamics._integrate
+
+    def keep(*args, **kwargs):
+        kept["out"] = integrate(*args, **kwargs)
+        return kept["out"]
+
+    monkeypatch.setattr(dynamics, "_integrate", keep)
+    taus, hist = transport_ensemble(field, ens, (0.0, 0.2),
+                                    IntegratorConfig(step=1e-2))
+    eager = [ens.with_state(H[:, :4], H[:, 4:]) for H in kept["out"][1]]
+    assert np.array_equal(taus, kept["out"][0])
+    assert len(hist) == len(eager) == 21
+    n = 0
+    for got, want in zip(hist, eager):
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+        n += 1
+    assert n == 21 and len(list(hist)) == 21
+    last = hist[-1]
+    assert np.array_equal(last.x, eager[-1].x)
+    assert np.array_equal(last.y, eager[-1].y)
+    assert np.array_equal(hist[-21].y, eager[0].y)
+    assert np.array_equal(last.w, w) and last.metadata == {"label": "probe"}
+    assert np.array_equal(last.observer, ens.observer)
+    for bad in (21, -22):
+        with pytest.raises(IndexError):
+            hist[bad]
+    with pytest.raises(TypeError):
+        hist[1:3]
+
+
+def test_history_at_refuses_tau_outside_the_span():
+    field = make_preset("normal-dipole", b0=1.0)
+    taus, hist = transport_ensemble(field, spread_cap(4), (0.0, 0.3),
+                                    IntegratorConfig(step=0.1))
+    assert np.array_equal(history_at(taus, hist, 0.3 + 1e-15).y, hist[-1].y)
+    assert np.array_equal(history_at(taus, hist, 0.12).y, hist[1].y)
+    for tau in (-1e-3, 0.301):
+        with pytest.raises(ValueError, match="outside"):
+            history_at(taus, hist, tau)

@@ -140,3 +140,17 @@ def test_bound_dominates_averaged_residual(dipole):
     assert rep.excluded == 0
     assert res <= rep.total
     assert rep.bound > 0 and rep.y0_factor == pytest.approx(1.0, abs=0.05)
+
+
+def test_residual_refuses_a_stencil_before_tau_zero(dipole):
+    """tau < h_tau puts tau - h_tau before the start of the transport.  The
+    nearest slice, tau = 0, would make an off-centre stencil whose residual
+    is five orders above the centred one at tau = 0.05."""
+    cap = rapidity_cap(200, r0=float(np.arccosh(10.0)), r_cap=0.005, seed=11,
+                       axis=1, aspect=(0.0, 1.0, 1.0))
+    assert residual(dipole, cap, tau=0.05).norm() < 1e-4
+    with pytest.raises(ValueError, match="outside"):
+        residual(dipole, cap, tau=5e-4)
+    with pytest.raises(ValueError, match="outside"):
+        bound_rhs(make_preset("normal-quad+dipole", b0=1.0, b1=0.4), cap,
+                  tau=5e-4)
