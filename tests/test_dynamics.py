@@ -411,12 +411,15 @@ def test_integrator_names_the_nonfinite_step_and_sample(shape):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_reversed_or_empty_span_raises(method):
     """A span that does not increase is refused, not integrated backwards
-    in one step."""
+    in one step: by the integrator and by the exact uniform transport."""
     field = make_preset("constant-B", b=1.0)
     cfg = IntegratorConfig(method=method, step=1e-3)
+    ens = delta_ensemble(v=(1.0, 0.0, 0.0), n=2)
     for span in ((0.0, -1.0), (0.0, 0.0), (1.0, 0.5)):
         with pytest.raises(ValueError, match="span"):
             push_lorentz(field, np.zeros(4), gyro_initial(5.0), span, cfg)
+        with pytest.raises(ValueError, match="span"):
+            transport_ensemble(field, ens, span, cfg)
 
 
 def test_transport_ensemble_honours_rk45():
@@ -502,13 +505,6 @@ def test_uniform_transport_takes_no_rk_step(monkeypatch):
     assert len(sliced) == 2
     with pytest.raises(AssertionError):
         transport_ensemble(non_affine_copy(field), ens, (0.0, 0.5))
-
-
-def test_uniform_transport_refuses_spans_that_do_not_increase():
-    field = make_preset("normal-dipole", b0=1.0)
-    for span in ((0.0, -1.0), (0.0, 0.0), (1.0, 0.5)):
-        with pytest.raises(ValueError, match="span"):
-            transport_ensemble(field, spread_cap(4), span)
 
 
 def test_uniform_transport_ignores_method_and_renormalize():
