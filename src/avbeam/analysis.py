@@ -222,7 +222,7 @@ def distribution_divergence(field, ens, t_end=10.0, n_out=21, cfg=None):
     times = ens.x[0, 0] + np.linspace(0.0, t_end, n_out)
     _, slices_l = transport_ensemble(field, ens, (0.0, tau_end), cfg, times)
     _, slices_a = transport_ensemble_averaged(field, ens, (0.0, tau_end), cfg,
-                                              times, moments="self")
+                                              times)
     div = np.array([
         float(np.max(bar_norm(sl.x - sa.x) + bar_norm(sl.y - sa.y)))
         for sl, sa in zip(slices_l, slices_a)

@@ -188,6 +188,24 @@ def _boost_matrix(r0, axis=1):
     return L
 
 
+def _boosted_cap(u, semi, r0, axis, x0, metadata):
+    """Ensemble of the comoving rapidity vectors u[:, k] * semi[k]
+    (k = 0 along the boost axis), lifted and boosted by r0 along `axis`."""
+    n = len(u)
+    local = np.empty((n, 3))
+    # aspect is given relative to the boost axis: component 0 longitudinal
+    order = [axis - 1] + [i for i in range(3) if i != axis - 1]
+    for k, dim in enumerate(order):
+        local[:, dim] = u[:, k] * semi[k]
+    r = np.linalg.norm(local, axis=1)
+    r_safe = np.where(r > 0, r, 1.0)
+    y_rest = np.column_stack([np.cosh(r), np.sinh(r)[:, None] * local / r_safe[:, None]])
+    y = y_rest @ _boost_matrix(r0, axis).T
+    y[:, 0] = np.sqrt(1.0 + np.sum(y[:, 1:] ** 2, axis=1))  # exact re-lift
+    return Ensemble(np.tile(np.asarray(x0, float), (n, 1)), y,
+                    metadata=metadata)
+
+
 def rapidity_cap(n, r0=0.0, r_cap=0.1, seed=0, axis=1,
                  aspect=(1.0, 1.0, 1.0), x0=(0.0, 0.0, 0.0, 0.0)):
     """Uniform rapidity cap: comoving rapidity ball of radius r_cap, boosted by r0.
@@ -204,20 +222,10 @@ def rapidity_cap(n, r0=0.0, r_cap=0.1, seed=0, axis=1,
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u *= rng.random(n)[:, None] ** (1.0 / 3.0)
     semi = r_cap * np.asarray(aspect, dtype=float)
-    local = np.empty((n, 3))
-    # aspect is given relative to the boost axis: component 0 longitudinal
-    order = [axis - 1] + [i for i in range(3) if i != axis - 1]
-    for k, dim in enumerate(order):
-        local[:, dim] = u[:, k] * semi[k]
-    r = np.linalg.norm(local, axis=1)
-    r_safe = np.where(r > 0, r, 1.0)
-    y_rest = np.column_stack([np.cosh(r), np.sinh(r)[:, None] * local / r_safe[:, None]])
-    y = y_rest @ _boost_matrix(r0, axis).T
-    y[:, 0] = np.sqrt(1.0 + np.sum(y[:, 1:] ** 2, axis=1))  # exact re-lift
-    return Ensemble(np.tile(np.asarray(x0, float), (n, 1)), y,
-                    metadata={"generator": "rapidity-cap", "r0": r0,
-                              "r_cap": r_cap, "seed": seed, "axis": axis,
-                              "aspect": tuple(aspect)})
+    return _boosted_cap(u, semi, r0, axis, x0,
+                        {"generator": "rapidity-cap", "r0": r0,
+                         "r_cap": r_cap, "seed": seed, "axis": axis,
+                         "aspect": tuple(aspect)})
 
 
 def gaussian_cap(n, r0=0.0, sigma=0.05, trunc=3.0, seed=0, axis=1,
@@ -229,21 +237,11 @@ def gaussian_cap(n, r0=0.0, sigma=0.05, trunc=3.0, seed=0, axis=1,
         block = rng.standard_normal((2 * n, 3))
         block = block[np.linalg.norm(block, axis=1) <= trunc]
         out = np.vstack([out, block])
-    u = out[:n] * sigma
-    semi = np.asarray(aspect, dtype=float)
-    order = [axis - 1] + [i for i in range(3) if i != axis - 1]
-    local = np.empty((n, 3))
-    for k, dim in enumerate(order):
-        local[:, dim] = u[:, k] * semi[k]
-    r = np.linalg.norm(local, axis=1)
-    r_safe = np.where(r > 0, r, 1.0)
-    y_rest = np.column_stack([np.cosh(r), np.sinh(r)[:, None] * local / r_safe[:, None]])
-    y = y_rest @ _boost_matrix(r0, axis).T
-    y[:, 0] = np.sqrt(1.0 + np.sum(y[:, 1:] ** 2, axis=1))
-    return Ensemble(np.tile(np.asarray(x0, float), (n, 1)), y,
-                    metadata={"generator": "gaussian-cap", "r0": r0,
-                              "sigma": sigma, "trunc": trunc, "seed": seed,
-                              "axis": axis, "aspect": tuple(aspect)})
+    return _boosted_cap(out[:n] * sigma, np.asarray(aspect, dtype=float), r0,
+                        axis, x0,
+                        {"generator": "gaussian-cap", "r0": r0,
+                         "sigma": sigma, "trunc": trunc, "seed": seed,
+                         "axis": axis, "aspect": tuple(aspect)})
 
 
 GENERATORS = {

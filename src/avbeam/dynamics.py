@@ -13,7 +13,8 @@ deviations and Hill principal solutions.  It integrates:
 * whole ensembles (kinetic transport along characteristics; weights ride
   along unchanged), and
 * the closed moment flow m' = F m, Q' = F (x) Q (+ permutations) that the
-  raw velocity moments obey exactly in a spatially uniform field.
+  raw velocity moments obey exactly in a spatially uniform field, and only
+  there (TransportedMoments raises ValueError in any other field).
 
 The one flow taken without RK steps is the kinetic ensemble transport in a
 uniform field, which is linear: x(tau) = x0 + P(tau) y0, y(tau) = R(tau) y0
@@ -70,10 +71,6 @@ class TrajectoryRecord:
                             PchipInterpolator(self.s, self.y, axis=0))
         xi, yi = self._interp
         return xi(s), yi(s)
-
-    @property
-    def lab_time(self):
-        return self.x[:, 0]
 
 
 def _renorm(y):
@@ -338,8 +335,7 @@ def transport_ensemble(field, ens, tau_span, cfg=None, lab_times=None):
     return _transport(acc, ens, tau_span, cfg, lab_times, renorm)
 
 
-def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
-                                moments="self"):
+def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None):
     """Advect every sample with the averaged spray of the samples' moments,
 
         y' = -<Gamma>(y, y) / sqrt(eta(y, y)),
@@ -350,10 +346,8 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
     of push_averaged_transported does.  The degree-2 spray -<Gamma>(y, y)
     would lag the moments and walk the samples out of the support.
 
-    moments="self"   recompute the averaged coefficients from the moving
-                     ensemble at every stage (time-refreshed averaging);
-    moments="frozen" use the initial moments throughout;
-    a MomentSet or callable x -> MomentSet is used as given.
+    The averaged coefficients come from the moments of the moving samples
+    at every stage (time-refreshed averaging), at their weighted centroid.
 
     Returns (taus, history) or (lab_times, history) as transport_ensemble
     does; the history is an EnsembleHistory over the integrated states.
@@ -364,17 +358,9 @@ def transport_ensemble_averaged(field, ens, tau_span, cfg=None, lab_times=None,
     cfg = cfg or IntegratorConfig()
     renorm = False if cfg.renormalize is None else cfg.renormalize
     p = ens.w / ens.w.sum()
-    if moments == "frozen":
-        moments = ens.moments()
 
     def acc(_s, x, y):
-        if moments == "self":
-            ms = MomentSet.from_samples(y, ens.w)
-        elif isinstance(moments, MomentSet):
-            ms = moments
-        else:
-            ms = moments(x[0])
-        G = averaged_table(field, (p @ x), ms)
+        G = averaged_table(field, p @ x, MomentSet.from_samples(y, ens.w))
         # y^j y^k per sample, contracted with <Gamma>^i_jk and with eta_jk
         yy = (y[:, :, None] * y[:, None, :]).reshape(-1, 16)
         return (-(yy @ G.reshape(4, 16).T)
@@ -416,19 +402,23 @@ def history_at(taus, hist, tau):
 class TransportedMoments:
     """Raw moments transported by the Lorentz flow in a uniform field.
 
-    Each sample obeys the linear ODE y' = F y, so the raw moments obey the
-    closed tensor equations m(tau) = R m(0) and
+    Each sample obeys the linear ODE y' = F y with F = field.mixed0, so the
+    raw moments obey the closed tensor equations m(tau) = R m(0) and
     Q(tau) = R (x) R (x) R : Q(0) with R = expm(F tau).  The second moment
-    follows the same rule.  Exact for spatially constant fields.
+    follows the same rule.  This holds only where F does not depend on x,
+    so a field that does not declare itself uniform (field.uniform) raises
+    ValueError.
     """
 
     def __init__(self, field, moments0):
         from scipy.linalg import expm
 
+        if not field.uniform:
+            raise ValueError(f"moments are transported in closed form only "
+                             f"in a uniform field; {field.name} is not")
         self._expm = expm
-        self.F = field.mixed(np.zeros(4))
+        self.F = field.mixed0
         self.m0 = moments0
-        self._cache = {}
         self._grid = None
         self._last = (None, None)
 
@@ -444,8 +434,7 @@ class TransportedMoments:
         self._k, self._R = 0, self._expm(self.F * s0)
 
     def rotation(self, tau):
-        """R(tau) = expm(F tau): cached by tau, or by recurrence once
-        on_stage_grid() is set."""
+        """R(tau) = expm(F tau), by recurrence once on_stage_grid() is set."""
         if self._grid is not None:
             s0, h, half = self._grid
             k = round(2.0 * (tau - s0) / h)
@@ -455,14 +444,7 @@ class TransportedMoments:
                 raise ValueError(f"tau = {tau!r} is not the current or next "
                                  "point of the stage grid")
             return self._R
-        key = round(float(tau), 15)
-        R = self._cache.get(key)
-        if R is None:
-            R = self._expm(self.F * tau)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = R
-        return R
+        return self._expm(self.F * tau)
 
     def at_tau(self, tau):
         """Moments at tau.  A call that gets the same R as the call before
@@ -497,8 +479,9 @@ def push_averaged_transported(field, x0, y0, moments0, span, cfg=None):
     expm calls, R(tau0) and R(h/2), and the recurrence R_{k+1} = R(h/2) R_k
     (TransportedMoments.on_stage_grid).  Over 84 000 half-steps of a 5e-3
     step in the dipole field it agrees with expm(F tau) to 1.4e-12
-    relative; rk45 stages are off any grid and call expm (cached) per stage
-    instead.
+    relative; rk45 stages are off any grid and call expm per stage
+    instead.  The moment flow is exact only in a uniform field, so any
+    other field raises ValueError (TransportedMoments).
 
     The equation is homogeneous of degree 1 in y like
     y' = F y = -Gamma(y,y)/sqrt(eta(y,y)).  On the unit hyperboloid it is

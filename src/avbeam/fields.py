@@ -149,11 +149,16 @@ def zero_field():
     return _const(np.zeros((4, 4)), "zero")
 
 
-def constant_b(b=1.0, charge_sign=1.0):
-    """Constant magnetic field along spatial axis 3: rotation in the (1,2) plane."""
+def _const_12(b, charge_sign, name):
+    """Constant field with F_12 = b, F_21 = -b: rotation in the (1,2) plane."""
     F = np.zeros((4, 4))
     F[1, 2], F[2, 1] = b, -b
-    return _const(charge_sign * F, f"constant-B({b})")
+    return _const(charge_sign * F, name)
+
+
+def constant_b(b=1.0, charge_sign=1.0):
+    """Constant magnetic field along spatial axis 3: rotation in the (1,2) plane."""
+    return _const_12(b, charge_sign, f"constant-B({b})")
 
 
 def constant_e(e=1.0, axis=1, charge_sign=1.0):
@@ -165,16 +170,12 @@ def constant_e(e=1.0, axis=1, charge_sign=1.0):
 
 def normal_dipole(b0=1.0, charge_sign=1.0):
     """Normal bending dipole: F_12 = b0, F_21 = -b0."""
-    F = np.zeros((4, 4))
-    F[1, 2], F[2, 1] = b0, -b0
-    return _const(charge_sign * F, f"normal-dipole({b0})")
+    return _const_12(b0, charge_sign, f"normal-dipole({b0})")
 
 
 def skew_dipole(b0=1.0, charge_sign=1.0):
     """Skew dipole: sign-flipped layout of the normal dipole."""
-    F = np.zeros((4, 4))
-    F[1, 2], F[2, 1] = -b0, b0
-    return _const(charge_sign * F, f"skew-dipole({b0})")
+    return _const_12(-b0, charge_sign, f"skew-dipole({b0})")
 
 
 def normal_quad_dipole(b0=0.0, b1=1.0, charge_sign=1.0):

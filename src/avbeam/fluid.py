@@ -1,7 +1,9 @@
 """Mean-field (fluid) closure of the averaged dynamics.
 
-The fluid velocity V is the mean 4-velocity over cells of a co-moving tube
-around the ensemble centroid.  The averaged-connection fluid equation
+The fluid velocity V is the weighted mean 4-velocity over cells of a
+co-moving tube around the ensemble centroid; the samples are advected by
+the "kinetic" (Lorentz) or the "averaged" transport.  The averaged-connection
+fluid equation
 
     V^j d_j V^i + <Gamma>^i_jk V^j V^k = residual^i
 
@@ -23,7 +25,8 @@ with vol the f-weighted support volume, vol_E the Euclidean one,
 delta^k(y) = <y>^k - y^k, all evaluated in the momentary rest frame of the
 mean velocity (d_0 is the rest-frame time derivative across adjacent
 slices, where <(y^0)^2>^(1/2) ~ 1).  Grid cells where some |delta^k| falls
-below 1e-8 alpha are excluded from the log term and counted.
+below CUTOFF_FACTOR alpha = 1e-8 alpha are excluded from the log term and
+counted.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -42,6 +45,9 @@ DEFAULT_CELLS = 5
 WIDTH_FACTOR = 4.0
 #: Higher-order allowance coefficient of the residual budget.
 ALLOWANCE = 10.0
+#: Grid cells with some |delta^k| below CUTOFF_FACTOR * alpha are excluded
+#: from the log term of the residual budget.
+CUTOFF_FACTOR = 1e-8
 
 
 @dataclass
@@ -54,26 +60,24 @@ class FluidSlice:
     axis: int                     # tube binning axis (1..3), 0 if degenerate
     centers: np.ndarray           # cell centers along the tube axis
     cell_V: np.ndarray            # (n_cells, 4) per-cell mean velocities
-    cell_moments: list            # per-cell MomentSet, None for empty cells
     cell_weight: np.ndarray       # (n_cells,) per-cell total weight
-    moments: MomentSet = None     # global MomentSet of the snapshot
+    moments: MomentSet            # global MomentSet of the snapshot
 
     def occupied(self):
         return self.cell_weight > 0
 
 
-def mean_field(slices, n_cells=DEFAULT_CELLS, width_factor=WIDTH_FACTOR):
-    """Co-moving tube average of the velocity field.
+def mean_field(ens, n_cells=DEFAULT_CELLS):
+    """Co-moving tube average of the velocity field of one ensemble.
 
-    slices: one ensemble or a time-indexed sequence of ensembles.  Cells are
-    laid out along the spatial axis of largest positional spread, n_cells
-    across, total width width_factor * spread, centred on the weighted
-    centroid.  With coincident positions (or n_cells < 2) the tube collapses
-    to a single all-enclosing cell whose V is the global moment mean.
+    Cells are laid out along the spatial axis of largest positional spread,
+    n_cells across, total width WIDTH_FACTOR * spread, centred on the
+    weighted centroid.  A cell's V is the weighted mean velocity of its
+    samples; a cell of total weight 0 (no samples, or only zero-weight
+    ones) is empty: it keeps the global mean and is not occupied().  With
+    coincident positions (or n_cells < 2) the tube collapses to a single
+    all-enclosing cell whose V is the global moment mean.
     """
-    if not hasattr(slices, "moments"):
-        return [mean_field(e, n_cells, width_factor) for e in slices]
-    ens = slices
     p = ens.w / ens.w.sum()
     centroid = p @ ens.x
     moments = ens.moments()
@@ -81,28 +85,35 @@ def mean_field(slices, n_cells=DEFAULT_CELLS, width_factor=WIDTH_FACTOR):
     t = float(centroid[0])
     spread = np.sqrt(p @ (ens.x[:, 1:] - centroid[1:]) ** 2)
     axis = int(np.argmax(spread)) + 1
-    width = width_factor * spread[axis - 1]
+    width = WIDTH_FACTOR * spread[axis - 1]
     if width <= 0 or n_cells < 2:
         return FluidSlice(t, centroid, V, 0, np.array([centroid[0]]),
-                          V[None, :], [moments], np.array([ens.w.sum()]),
-                          moments)
+                          V[None, :], np.array([ens.w.sum()]), moments)
     edges = centroid[axis] + np.linspace(-0.5, 0.5, n_cells + 1) * width
     centers = 0.5 * (edges[:-1] + edges[1:])
     idx = np.clip(np.searchsorted(edges, ens.x[:, axis]) - 1, 0, n_cells - 1)
     cell_V = np.tile(V, (n_cells, 1))
     cell_w = np.zeros(n_cells)
-    cell_ms = [None] * n_cells
     for c in range(n_cells):
         sel = idx == c
-        if not np.any(sel):
-            continue
-        cell_w[c] = ens.w[sel].sum()
-        cell_ms[c] = MomentSet.from_samples(ens.y[sel], ens.w[sel])
-        cell_V[c] = cell_ms[c].mean
+        w = ens.w[sel]
+        cell_w[c] = w.sum()
+        if cell_w[c] > 0:
+            cell_V[c] = (w / cell_w[c]) @ ens.y[sel]
     if not np.any(cell_w > 0):
         raise ValueError("all tube cells are empty")
-    return FluidSlice(t, centroid, V, axis, centers, cell_V, cell_ms,
-                      cell_w, moments)
+    return FluidSlice(t, centroid, V, axis, centers, cell_V, cell_w, moments)
+
+
+def _transport(name):
+    """The ensemble transport named name.  The table is built at call time,
+    so a wrapper put on the module's names (perfbench's tracer) sees it."""
+    advect = {"kinetic": transport_ensemble,
+              "averaged": transport_ensemble_averaged}.get(name)
+    if advect is None:
+        raise ValueError(f"unknown transport {name!r}; "
+                         "use 'kinetic' or 'averaged'")
+    return advect
 
 
 @dataclass
@@ -134,7 +145,8 @@ def residual(field, ens, tau=0.05, h_tau=None, cfg=None,
 
     transport selects the advection of the samples: "kinetic" pushes them
     with the Lorentz flow, "averaged" as auto-parallels of the averaged
-    connection (the mean field of the averaged kinetic equation).
+    connection (the mean field of the averaged kinetic equation); any other
+    name raises ValueError.
 
     The stencil needs tau >= h_tau (h_tau defaults to max(tau/50, 1e-3));
     a tau - h_tau before the start of the transport raises ValueError
@@ -142,12 +154,7 @@ def residual(field, ens, tau=0.05, h_tau=None, cfg=None,
     """
     h_tau = h_tau or max(tau / 50.0, 1e-3)
     cfg = cfg or IntegratorConfig(step=min(h_tau / 4.0, 1e-3))
-    span_end = tau + h_tau
-    if transport == "averaged":
-        taus, hist = transport_ensemble_averaged(field, ens, (0.0, span_end),
-                                                 cfg, moments="self")
-    else:
-        taus, hist = transport_ensemble(field, ens, (0.0, span_end), cfg)
+    taus, hist = _transport(transport)(field, ens, (0.0, tau + h_tau), cfg)
     e_m, e_0, e_p = (history_at(taus, hist, s)
                      for s in (tau - h_tau, tau, tau + h_tau))
     sl_m = mean_field(e_m, n_cells)
@@ -182,12 +189,6 @@ def residual(field, ens, tau=0.05, h_tau=None, cfg=None,
     return ResidualReport(res, normalized, V, sl_0,
                           {"eta_VV": g, "V_dlog_eta_VV": float(dlog_g),
                            "dt": float(dt)})
-
-
-def normalized_residual(field, ens, tau=0.05, h_tau=None, cfg=None,
-                        n_cells=DEFAULT_CELLS, transport="kinetic"):
-    """Norm-corrected residual (the mean velocity is not unit-normalized)."""
-    return residual(field, ens, tau, h_tau, cfg, n_cells, transport).normalized
 
 
 def noise_floor(field, ens, tau=0.05, h_tau=None, cfg=None,
@@ -266,7 +267,7 @@ class BoundReport:
 
 
 def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
-              cutoff_factor=1e-8, allowance=ALLOWANCE, transport="kinetic"):
+              allowance=ALLOWANCE, transport="kinetic"):
     """Theoretical residual budget evaluated on a velocity-grid density.
 
     All ingredients live in the momentary rest frame of the mean velocity
@@ -279,7 +280,8 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     time stencil can be made small enough that the mean's own motion does
     not mask the deviation field; otherwise the nearest transported slices
     are used.  alpha is the support diameter seen by the mean observer.
-    Degenerate (single-point) support returns a zero budget.
+    Degenerate (single-point) support returns a zero budget.  transport
+    names the advection as in residual.
     """
     uniform = field.uniform
     if h_tau is None:
@@ -287,11 +289,8 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     # with analytic means (uniform field) the step only resolves the slice
     cfg = cfg or IntegratorConfig(
         step=1e-3 if uniform else min(h_tau / 4.0, 1e-3))
-    advect = (transport_ensemble_averaged if transport == "averaged"
-              else transport_ensemble)
-    kw = {"moments": "self"} if transport == "averaged" else {}
-    taus, hist_sl = advect(field, ens, (0.0, tau + max(h_tau, 2 * cfg.step)),
-                           cfg, **kw)
+    taus, hist_sl = _transport(transport)(
+        field, ens, (0.0, tau + max(h_tau, 2 * cfg.step)), cfg)
     e_0 = history_at(taus, hist_sl, tau)
     p = ens.w / ens.w.sum()
     m_0 = p @ e_0.y
@@ -337,7 +336,7 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     y0_factor = float(np.sqrt(p @ yb[:, 0] ** 2))
 
     means = [m_m, lam @ m_0, m_p]
-    cutoff = cutoff_factor * alpha
+    cutoff = CUTOFF_FACTOR * alpha
     log_norms = np.zeros(4)
     excluded = 0
     for k in range(4):

@@ -165,3 +165,13 @@ def test_distribution_divergence_grows(dipole, small_cap):
                                       cfg=IntegratorConfig(step=1e-3))
     assert div[0] < 1e-12
     assert div[-1] > div[1] > 0.0
+
+
+def test_compare_refuses_a_non_uniform_field():
+    """The averaged twin transports its moments in closed form, which holds
+    only in a uniform field, so the comparison refuses quad+dipole rather
+    than rotate the moments by expm(F(0) tau)."""
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    ens = rapidity_cap(50, r0=1.0, r_cap=0.1, seed=3)
+    with pytest.raises(ValueError, match="uniform"):
+        compare_trajectories(field, ens, t_end=0.5, n_out=5)

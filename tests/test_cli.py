@@ -1,11 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from avbeam.cli import emit_plot_data, main
+from avbeam.cli import RUNNERS, emit_plot_data, load_config, main
 
 
 @pytest.fixture
@@ -262,3 +264,18 @@ def test_emit_plot_data_empty_series(tmp_path):
                            {"empty": ("tau", "value")})
     text = open(paths[0]).read()
     assert text == "# tau value\n"
+
+
+def test_snapshot_configs_pass_their_schemas(tmp_path):
+    """tools/cli_snapshot.py runs every command, each config valid for its
+    command, so a snapshot fails only where the program does."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    names = [name for name, _, _ in snapshot.CONFIGS]
+    assert len(set(names)) == len(names)
+    assert {command for _, command, _ in snapshot.CONFIGS} == set(RUNNERS)
+    for name, command, doc in snapshot.CONFIGS:
+        assert load_config(write_cfg(tmp_path, doc, f"{name}.yaml"),
+                           command) == doc

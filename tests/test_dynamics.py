@@ -214,8 +214,7 @@ def test_averaged_transport_delta_coincides_with_lorentz():
     field = make_preset("normal-dipole", b0=1.0)
     ens = delta_ensemble(v=(2.0, 0.0, 0.0), n=3)
     cfg = IntegratorConfig(step=1e-3)
-    _, ha = transport_ensemble_averaged(field, ens, (0.0, 1.0), cfg,
-                                        moments="self")
+    _, ha = transport_ensemble_averaged(field, ens, (0.0, 1.0), cfg)
     _, hl = transport_ensemble(field, ens, (0.0, 1.0), cfg)
     assert np.max(np.abs(ha[-1].y - hl[-1].y)) < 1e-10
     assert np.max(np.abs(ha[-1].x - hl[-1].x)) < 1e-10
@@ -267,13 +266,16 @@ def test_liouville_residual_oracles():
 def test_transported_table_matches_einsum_reference(preset, kw, bunch):
     """The averaged spray of the transported moments, built by matrix
     products, equals the einsum form of the transport and of the table
-    (docstring of averaged_table), off shell too."""
+    (docstring of averaged_table), off shell too.  The moments are
+    transported in the dipole, the one uniform field of the two; the table
+    is built in the preset's field."""
     field = make_preset(preset, **kw)
     if bunch == "cap":
         ens = rapidity_cap(300, r0=1.2, r_cap=0.1, seed=4)
     else:
         ens = delta_ensemble(v=(1.5, 0.4, -0.2), n=3)
-    tm = TransportedMoments(field, ens.moments())
+    tm = TransportedMoments(make_preset("normal-dipole", b0=1.0),
+                            ens.moments())
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     eta = np.diag(signs)
     rng = np.random.default_rng(7)
@@ -296,6 +298,18 @@ def test_transported_table_matches_einsum_reference(preset, kw, bunch):
         got = -((table @ y) @ y) / np.sqrt(minkowski(y, y))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(table, np.transpose(table, (0, 2, 1)))
+
+
+def test_moment_transport_refuses_a_non_uniform_field():
+    """The closed moment flow m = expm(F tau) m0 holds only where F does not
+    depend on x, so quad+dipole is refused, not rotated by expm(F(0) tau)."""
+    field = make_preset("normal-quad+dipole", b0=1.0, b1=0.4)
+    ens = rapidity_cap(50, r0=1.0, r_cap=0.1, seed=3)
+    with pytest.raises(ValueError, match=r"normal-quad\+dipole\(1.0,0.4\)"):
+        TransportedMoments(field, ens.moments())
+    with pytest.raises(ValueError, match="uniform"):
+        push_averaged_transported(field, np.zeros(4), ens.y[0],
+                                  ens.moments(), (0.0, 0.1))
 
 
 def test_stage_rotation_recurrence_matches_expm():

@@ -5,8 +5,7 @@ from avbeam.distribution import Ensemble, delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import IntegratorConfig
 from avbeam.fields import make_preset, zero_field
 from avbeam.fluid import (bound_rhs, mean_field, noise_floor, norm_0_2,
-                          norm_1_1, normalized_residual, residual,
-                          sobolev_norms)
+                          norm_1_1, residual, sobolev_norms)
 from avbeam.geometry import minkowski
 
 
@@ -44,10 +43,21 @@ def test_mean_field_degenerate_positions():
     assert sl.cell_weight[0] == pytest.approx(3.0)
 
 
-def test_mean_field_sequence_input(small_cap):
-    out = mean_field([small_cap, small_cap])
-    assert len(out) == 2
-    assert np.allclose(out[0].V, out[1].V)
+def test_mean_field_cell_of_zero_weight_samples_is_empty():
+    """A cell that holds only zero-weight samples is empty, as a cell with
+    no samples is: weight 0, not occupied, V the global mean."""
+    cap = rapidity_cap(51, r0=1.0, r_cap=0.1, seed=3)
+    x = np.zeros((51, 4))
+    x[45:50, 1] = 1.0
+    x[50, 1] = -2.0
+    w = np.ones(51)
+    w[50] = 0.0
+    sl = mean_field(Ensemble(x, cap.y, w), n_cells=5)
+    assert sl.axis == 1
+    assert np.array_equal(sl.cell_weight, [0.0, 0.0, 45.0, 0.0, 5.0])
+    assert np.array_equal(sl.occupied(), [False, False, True, False, True])
+    assert np.array_equal(sl.cell_V[0], sl.V)
+    assert np.allclose(sl.cell_V[2], cap.y[:45].mean(axis=0))
 
 
 def test_norm_1_1_gaussian_closed_form():
@@ -117,7 +127,7 @@ def test_residual_scales_like_alpha_squared(dipole):
 
 
 def test_normalized_residual_shape(dipole, small_cap):
-    nr = normalized_residual(dipole, small_cap, tau=0.02, h_tau=5e-4)
+    nr = residual(dipole, small_cap, tau=0.02, h_tau=5e-4).normalized
     assert nr.shape == (4,)
     assert np.all(np.isfinite(nr))
 
@@ -126,6 +136,14 @@ def test_bound_rhs_delta_is_zero(dipole):
     rep = bound_rhs(dipole, delta_ensemble(v=(1.0, 0.0, 0.0), n=5), tau=0.05)
     assert rep.total == 0.0
     assert rep.alpha == 0.0
+
+
+@pytest.mark.parametrize("fn", [residual, bound_rhs])
+def test_unknown_transport_name_raises(dipole, small_cap, fn):
+    """Any name but "kinetic" and "averaged" is refused, not run as the
+    kinetic transport."""
+    with pytest.raises(ValueError, match="unknown transport 'avg'"):
+        fn(dipole, small_cap, tau=0.02, transport="avg")
 
 
 def test_bound_dominates_averaged_residual(dipole):
