@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .geometry import bar_norm
 from .fields import field_norm
 from .dynamics import (IntegratorConfig, push_lorentz,
                        push_averaged_transported, to_lab_time,
@@ -123,8 +122,8 @@ def compare_trajectories(field, ens, x0=None, y0=None, t_end=10.0, n_out=101,
     lab_l = to_lab_time(rec_l, times)
     lab_a = to_lab_time(rec_a, times)
 
-    pos_sep = bar_norm(lab_a.x - lab_l.x)
-    vel_sep = bar_norm(lab_a.y - lab_l.y)
+    pos_sep = np.linalg.norm(lab_a.x - lab_l.x, axis=-1)
+    vel_sep = np.linalg.norm(lab_a.y - lab_l.y, axis=-1)
     ts = times - x0[0]
     C, C2, B2 = constants["C"], constants["C2"], constants["B2"]
     K, K2, D2 = constants["K"], constants["K2"], constants["D2"]
@@ -213,8 +212,8 @@ def distribution_divergence(field, ens, t_end=10.0, n_out=21, cfg=None):
 
     Pushes the same ensemble with the Lorentz flow and with the averaged
     flow (time-refreshed moments) and returns, per lab time, the maximum
-    over samples of |x_L - x_A| + |y_L - y_A| in the observer metric — a
-    Lipschitz proxy for the pointwise distribution difference.
+    over samples of |x_L - x_A| + |y_L - y_A| in the lab observer's metric
+    — a Lipschitz proxy for the pointwise distribution difference.
     """
     cfg = cfg or IntegratorConfig()
     energy = ens.energy()
@@ -224,7 +223,8 @@ def distribution_divergence(field, ens, t_end=10.0, n_out=21, cfg=None):
     _, slices_a = transport_ensemble_averaged(field, ens, (0.0, tau_end), cfg,
                                               times)
     div = np.array([
-        float(np.max(bar_norm(sl.x - sa.x) + bar_norm(sl.y - sa.y)))
+        float(np.max(np.linalg.norm(sl.x - sa.x, axis=-1)
+                     + np.linalg.norm(sl.y - sa.y, axis=-1)))
         for sl, sa in zip(slices_l, slices_a)
     ])
     return times - ens.x[0, 0], div

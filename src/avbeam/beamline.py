@@ -44,23 +44,27 @@ from scipy.interpolate import PchipInterpolator
 from .geometry import minkowski, lower
 from .dynamics import IntegratorConfig, _integrate
 
+#: Central-difference step in x of the connection gradient for connections
+#: without a closed-form deviation equation.
+_FD_STEP = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # Jacobi (deviation) equation along a reference record
 # ---------------------------------------------------------------------------
 
-def jacobi_rhs(conn, ref, h=1e-4):
+def jacobi_rhs(conn, ref):
     """Right-hand side of the first-order deviation system.
 
     State is (xi, xi'); the reference orbit supplies X(tau), X'(tau) by
     interpolation.  For the Lorentz and tilde connections the acceleration
     is the closed form of the module docstring, from field.mixed and
     field.gradient_mixed; for any other connection the connection-gradient
-    term uses central differences of step h in the position argument.
+    term uses central differences of step _FD_STEP in the position argument.
     """
     if conn.kind in ("lorentz", "tilde"):
         return _lorentz_jacobi_rhs(conn.field, ref)
-    return _finite_difference_jacobi_rhs(conn, ref, h)
+    return _finite_difference_jacobi_rhs(conn, ref)
 
 
 def _lorentz_jacobi_rhs(field, ref):
@@ -84,9 +88,10 @@ def _lorentz_jacobi_rhs(field, ref):
     return rhs
 
 
-def _finite_difference_jacobi_rhs(conn, ref, h=1e-4):
+def _finite_difference_jacobi_rhs(conn, ref):
     """Deviation acceleration -2 Gamma(xi', X') - xi^l d_l Gamma(X', X'),
-    with d_l Gamma by central differences of step h."""
+    with d_l Gamma by central differences of step _FD_STEP."""
+    h = _FD_STEP
     velocity_dependent = conn.kind in ("lorentz", "tilde", "berwald-generic")
 
     def table(x, y):
@@ -115,11 +120,11 @@ class JacobiRecord:
     dxi: np.ndarray
 
 
-def integrate_jacobi(conn, ref, xi0, dxi0, span, cfg=None, h=1e-4):
+def integrate_jacobi(conn, ref, xi0, dxi0, span, cfg=None):
     """Integrate the deviation equation along a reference orbit."""
     cfg = cfg or IntegratorConfig()
     state0 = np.concatenate([np.asarray(xi0, float), np.asarray(dxi0, float)])
-    s, states, _ = _integrate(jacobi_rhs(conn, ref, h), state0, span, cfg)
+    s, states, _ = _integrate(jacobi_rhs(conn, ref), state0, span, cfg)
     return JacobiRecord(s, states[:, :4], states[:, 4:])
 
 
@@ -162,6 +167,51 @@ def _const_closed(K):
     return lambda s, u0, du0: u0 + du0 * s
 
 
+def _hill_pair(K1, K3):
+    """Undamped, unforced xi1 and xi3 systems of constant K1 and K3."""
+    return {"xi1": HillSystem(K1, 0.0, 0.0, "xi1", _const_closed(K1)),
+            "xi3": HillSystem(K3, 0.0, 0.0, "xi3", _const_closed(K3))}
+
+
+def _dipole(rho, sign=1.0):
+    return _hill_pair(-float(sign) / float(rho) ** 2, 0.0)
+
+
+def _quadrupole(b1, rho=None):
+    b1 = float(b1)
+    return _hill_pair(-b1 + (1.0 / float(rho) ** 2 if rho else 0.0), b1)
+
+
+def _quad45(b1, rho=None):
+    b1 = float(b1)
+    return _hill_pair(b1 + (1.0 / float(rho) ** 2 if rho else 0.0), -b1)
+
+
+def _constant_e(e2):
+    e2 = float(e2)
+
+    def closed(s, u0, du0):
+        return u0 - (du0 / e2) * (np.exp(-e2 * np.asarray(s)) - 1.0)
+
+    return {"xi2": HillSystem(0.0, 0.0, e2, "xi2", closed)}
+
+
+def _rf(gamma, e20, w_rf=1.0):
+    K = -2.0 * float(gamma) * float(e20) * float(w_rf)
+    return {"xi2": HillSystem(K, 0.0, 0.0, "xi2", _const_closed(K))}
+
+
+#: Builder of each preset_system kind; its signature names the kind's
+#: parameters.
+SYSTEMS = {
+    "dipole": _dipole,
+    "quadrupole": _quadrupole,
+    "quad45": _quad45,
+    "constant-e": _constant_e,
+    "rf": _rf,
+}
+
+
 def preset_system(kind, **params):
     """Scalar deviation systems of the accelerator presets.
 
@@ -171,46 +221,19 @@ def preset_system(kind, **params):
                              The default sign gives the hyperbolically
                              growing horizontal mode; sign=-1 flips it to
                              the oscillatory convention.
-    quadrupole(b1):          xi3'' + b1 xi3 = 0, xi1'' - b1 xi1 = 0.
+    quadrupole(b1, rho=None): xi3'' + b1 xi3 = 0,
+                             xi1'' - (b1 - 1/rho^2) xi1 = 0 (rho omitted:
+                             pure quad).
     quad45(b1, rho=None):    xi1'' + (b1 + 1/rho^2) xi1 = 0,
                              xi3'' - b1 xi3 = 0 (rho omitted: pure quad).
     constant-e(e2):          xi2'' + e2 xi2' = 0 with closed form
                              u0 - (du0/e2)(exp(-e2 tau) - 1).
-    rf(gamma, e20, w_rf):    xi2'' - 2 gamma e20 w_rf xi2 = 0 (on-crest
+    rf(gamma, e20, w_rf=1):  xi2'' - 2 gamma e20 w_rf xi2 = 0 (on-crest
                              linearization of the alternating field).
     """
-    if kind == "dipole":
-        rho = float(params["rho"])
-        sign = float(params.get("sign", 1.0))
-        K1 = -sign / rho ** 2
-        return {"xi1": HillSystem(K1, 0.0, 0.0, "xi1", _const_closed(K1)),
-                "xi3": HillSystem(0.0, 0.0, 0.0, "xi3", _const_closed(0.0))}
-    if kind == "quadrupole":
-        b1 = float(params["b1"])
-        rho = params.get("rho")
-        K1 = -b1 + (1.0 / float(rho) ** 2 if rho else 0.0)
-        return {"xi1": HillSystem(K1, 0.0, 0.0, "xi1", _const_closed(K1)),
-                "xi3": HillSystem(b1, 0.0, 0.0, "xi3", _const_closed(b1))}
-    if kind == "quad45":
-        b1 = float(params["b1"])
-        rho = params.get("rho")
-        K1 = b1 + (1.0 / float(rho) ** 2 if rho else 0.0)
-        return {"xi1": HillSystem(K1, 0.0, 0.0, "xi1", _const_closed(K1)),
-                "xi3": HillSystem(-b1, 0.0, 0.0, "xi3", _const_closed(-b1))}
-    if kind == "constant-e":
-        e2 = float(params["e2"])
-
-        def closed(s, u0, du0, e2=e2):
-            return u0 - (du0 / e2) * (np.exp(-e2 * np.asarray(s)) - 1.0)
-
-        return {"xi2": HillSystem(0.0, 0.0, e2, "xi2", closed)}
-    if kind == "rf":
-        gamma = float(params["gamma"])
-        e20 = float(params["e20"])
-        w_rf = float(params.get("w_rf", 1.0))
-        K = -2.0 * gamma * e20 * w_rf
-        return {"xi2": HillSystem(K, 0.0, 0.0, "xi2", _const_closed(K))}
-    raise KeyError(f"unknown beamline preset {kind!r}")
+    if kind not in SYSTEMS:
+        raise KeyError(f"unknown beamline preset {kind!r}")
+    return SYSTEMS[kind](**params)
 
 
 @dataclass
@@ -310,14 +333,12 @@ class OffsetReport:
     integrand3: np.ndarray
 
 
-def averaged_offset(field, ref, moments_along, span, n_grid=401,
-                    epsilon=None):
+def averaged_offset(field, ref, moments_along, span, n_grid=401):
     """First-order collective offset of the bunch mean from the reference.
 
     moments_along: MomentSet or callable tau -> MomentSet giving the
     transported velocity moments along the orbit; eps(tau) is their mean
-    minus the reference velocity (an explicit epsilon(tau) override is
-    available for synthetic studies).
+    minus the reference velocity.
     """
     ms_fn = moments_along if callable(moments_along) else (
         lambda s, m=moments_along: m)
@@ -327,7 +348,7 @@ def averaged_offset(field, ref, moments_along, span, n_grid=401,
     for n, (s, X, Xd) in enumerate(zip(grid, Xs, Xds)):
         ms = ms_fn(s)
         Fm = field.mixed(X)
-        eps = (ms.mean - Xd) if epsilon is None else np.asarray(epsilon(s), float)
+        eps = ms.mean - Xd
         eps_low = lower(eps)
         Xd_low = lower(Xd)
         quad = 2.0 * ((Fm @ eps) * float(eps_low @ Xd)

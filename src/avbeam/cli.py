@@ -9,6 +9,7 @@ Exit codes: 0 success and all declared assertions pass; 2 configuration
 schema violation; 3 numeric failure or failed assertion.
 """
 
+import inspect
 import json
 import os
 import sys
@@ -27,8 +28,8 @@ from .dynamics import (IntegratorConfig, history_at, push_lorentz,
 from .analysis import (DEFAULT_CONSTANTS, compare_trajectories, fit_scaling,
                        pick_support_velocity, support_index, validity_horizon)
 from . import fluid as fluid_mod
-from .beamline import (preset_system, principal_solutions, particular_solution,
-                       averaged_offset)
+from .beamline import (SYSTEMS, preset_system, principal_solutions,
+                       particular_solution, averaged_offset)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -167,8 +168,7 @@ SCHEMAS = {
                        "required": ["kind"],
                        "properties": {
                            "kind": {"type": "string",
-                                    "enum": ["dipole", "quadrupole",
-                                             "quad45", "constant-e", "rf"]},
+                                    "enum": list(SYSTEMS)},
                            "params": {"type": "object",
                                       "additionalProperties": _NUMBER}}},
             "tau_end": {"type": "number", "exclusiveMinimum": 0},
@@ -226,8 +226,23 @@ def load_config(path, command):
 # Builders and serialization helpers
 # ---------------------------------------------------------------------------
 
+def _check_params(where, fn, params):
+    """SchemaViolation unless fn takes every key of params and params gives
+    every parameter fn needs; where names the config key of params."""
+    accepted = inspect.signature(fn).parameters
+    for key in params:
+        if key not in accepted:
+            raise SchemaViolation(f"{where}/params/{key}: not a parameter; "
+                                  f"have {sorted(accepted)}")
+    for key, p in accepted.items():
+        if p.default is p.empty and key not in params:
+            raise SchemaViolation(f"{where}/params/{key}: required")
+
+
 def build_field(spec):
-    return make_preset(spec["preset"], **spec.get("params", {}))
+    params = spec.get("params", {})
+    _check_params("field", PRESETS[spec["preset"]], params)
+    return make_preset(spec["preset"], **params)
 
 
 def build_ensemble(spec, seed_override=None):
@@ -248,6 +263,7 @@ def build_ensemble(spec, seed_override=None):
                                   "generators")
     elif "n" in spec:
         params["n"] = spec["n"]
+    _check_params("ensemble", GENERATORS[gen], params)
     return GENERATORS[gen](**params)
 
 
@@ -524,7 +540,9 @@ def run_fluid_check(cfg, out_dir, seed):
 def run_beamline(cfg, out_dir, seed):
     icfg = build_integrator(cfg.get("integrator"))
     kind = cfg["system"]["kind"]
-    systems = preset_system(kind, **cfg["system"].get("params", {}))
+    params = cfg["system"].get("params", {})
+    _check_params("system", SYSTEMS[kind], params)
+    systems = preset_system(kind, **params)
     span = (0.0, cfg["tau_end"])
     n_out = cfg.get("n_out", 201)
     taus = np.linspace(0.0, cfg["tau_end"], n_out)

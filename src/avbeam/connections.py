@@ -19,7 +19,6 @@ algebraic decomposition in the deviation delta = <y> - y.
 import numpy as np
 
 from .geometry import ETA, lower, minkowski
-from .distribution import MomentSet
 
 
 class LorentzConnection:
@@ -102,27 +101,6 @@ def averaged_table(field, x, moments):
     return -0.25 * (table + table.transpose(0, 2, 1))
 
 
-class AveragedConnection:
-    """Affine connection from fiber-averaging the Lorentz connection.
-
-    moments may be a static MomentSet (frozen distribution) or a callable
-    x -> MomentSet (e.g. moments transported along the flow, addressed by
-    the evaluation point).
-    """
-
-    kind = "averaged-lorentz"
-
-    def __init__(self, field, moments):
-        self.field = field
-        self.moments = moments
-
-    def moment_set(self, x):
-        return self.moments(x) if callable(self.moments) else self.moments
-
-    def coeffs(self, x, y=None):
-        return averaged_table(self.field, x, self.moment_set(x))
-
-
 class TableConnection:
     """Affine connection given by an explicit coefficient table map x -> table."""
 
@@ -188,24 +166,6 @@ def torsion(conn, x, y=None):
     """Torsion table Gamma^i_jk - Gamma^i_kj (zero for all shipped constructions)."""
     t = conn.coeffs(x, y) if y is not None else conn.coeffs(x)
     return t - np.transpose(t, (0, 2, 1))
-
-
-def curvature(conn, x, h=1e-4):
-    """Curvature R^i_jkm of an affine connection by central differences.
-
-    R^i_jkm = d_m Gamma^i_jk - d_k Gamma^i_jm
-              + Gamma^r_jk Gamma^i_rm - Gamma^r_jm Gamma^i_rk
-    """
-    x = np.asarray(x, dtype=float)
-    G = conn.coeffs(x)
-    dG = np.empty((4, 4, 4, 4))  # dG[m,i,j,k] = d_m Gamma^i_jk
-    for m in range(4):
-        dx = np.zeros(4)
-        dx[m] = h
-        dG[m] = (conn.coeffs(x + dx) - conn.coeffs(x - dx)) / (2.0 * h)
-    R = (np.einsum("mijk->ijkm", dG) - np.einsum("kijm->ijkm", dG)
-         + np.einsum("rjk,irm->ijkm", G, G) - np.einsum("rjm,irk->ijkm", G, G))
-    return R
 
 
 def difference(field, moments, x, y, tol=1e-8):

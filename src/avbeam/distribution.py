@@ -12,7 +12,7 @@ import io
 
 import numpy as np
 
-from .geometry import ETA, LAB_OBSERVER, minkowski, sqrt_spd
+from .geometry import minkowski
 
 
 def lift(v):
@@ -65,8 +65,7 @@ class MomentSet:
 class Ensemble:
     """Immutable weighted phase-space samples on the unit hyperboloid."""
 
-    def __init__(self, x, y, w=None, observer=LAB_OBSERVER, check=True,
-                 metadata=None):
+    def __init__(self, x, y, w=None, check=True, metadata=None):
         self.x = np.atleast_2d(np.asarray(x, dtype=float)).copy()
         self.y = np.atleast_2d(np.asarray(y, dtype=float)).copy()
         n = self.y.shape[0]
@@ -74,9 +73,14 @@ class Ensemble:
             self.x = np.repeat(self.x, n, axis=0)
         self.w = (np.ones(n) if w is None
                   else np.asarray(w, dtype=float).copy())
-        self.observer = np.asarray(observer, dtype=float)
         self.metadata = dict(metadata or {})
         if check:
+            if (self.y.ndim != 2 or self.y.shape[1] != 4
+                    or self.x.shape != self.y.shape or self.w.shape != (n,)):
+                raise ValueError(
+                    "positions and velocities must be (n, 4) and weights "
+                    f"(n,); got {self.x.shape}, {self.y.shape} and "
+                    f"{self.w.shape}")
             # NaN fails every comparison below, so test finiteness first
             if not all(np.all(np.isfinite(a)) for a in (self.x, self.y, self.w)):
                 raise ValueError("positions, velocities and weights must be finite")
@@ -99,17 +103,12 @@ class Ensemble:
         """E = inf over samples of the lab-frame y^0."""
         return float(np.min(self.y[:, 0]))
 
-    def deltas(self):
-        """Per-sample deviation from the mean velocity: delta_a = <y> - y_a."""
-        return self.moments().mean[None, :] - self.y
-
-    def alpha(self, bar=None):
-        return diameter_alpha(self, bar)
+    def alpha(self):
+        return diameter_alpha(self)
 
     def with_state(self, x, y):
         """Same weights/metadata with transported positions and velocities."""
-        return Ensemble(x, y, self.w, self.observer, check=False,
-                        metadata=self.metadata)
+        return Ensemble(x, y, self.w, check=False, metadata=self.metadata)
 
 
 #: Pair entries per row block of the survivors' pairwise differences.
@@ -124,12 +123,13 @@ def _dist(d):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def diameter_alpha(ens, bar=None):
-    """Diameter alpha: max pairwise observer-metric chord distance of velocities.
+def diameter_alpha(ens):
+    """Diameter alpha: max pairwise lab-observer chord distance of velocities.
 
-    For the lab observer the observer metric is the identity, so this is the
-    max pairwise Euclidean distance of the 4-velocity components; with `bar`
-    the samples are first mapped by sqrt(bar).  The result is exact (every
+    The lab observer's metric is the identity, so this is the max pairwise
+    Euclidean distance of the 4-velocity components.  For another observer
+    u, pass the velocities boosted to its rest frame,
+    y @ geometry.boost_to_rest(u).T.  The result is exact (every
     distance is formed from explicit differences, never from
     |a|^2 + |b|^2 - 2 a.b) and found by pruning:
 
@@ -148,8 +148,6 @@ def diameter_alpha(ens, bar=None):
     exactly.  Non-finite samples raise ValueError.
     """
     y = ens.y if isinstance(ens, Ensemble) else np.atleast_2d(np.asarray(ens, float))
-    if bar is not None:
-        y = y @ sqrt_spd(bar).T
     if not np.all(np.isfinite(y)):
         raise ValueError("diameter_alpha needs finite samples")
     if y.shape[0] < 2:

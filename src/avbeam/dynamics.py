@@ -236,8 +236,8 @@ class EnsembleHistory:
     """Read-only sequence of the ensembles saved along a transport.
 
     state(i) gives the positions and velocities, (N, 4) each, of saved
-    step i; the Ensemble, with the weights, observer and metadata of the
-    initial one, is built only when the step is indexed.  Supports len,
+    step i; the Ensemble, with the weights and metadata of the initial
+    one, is built only when the step is indexed.  Supports len,
     negative indices and iteration.
     """
 
@@ -508,26 +508,3 @@ def push_averaged_transported(field, x0, y0, moments0, span, cfg=None):
         return -((G @ y) @ y) / np.sqrt(lower(y) @ y)
 
     return _push(acc, x0, y0, span, cfg, renorm)
-
-
-# ---------------------------------------------------------------------------
-# Kinetic residual probe
-# ---------------------------------------------------------------------------
-
-def liouville_residual(f, field, x, y, h=1e-3):
-    """Finite-difference kinetic-equation residual y.df/dx + (F y).df/dy.
-
-    f is a differentiable phase-space density f(x, y); the residual vanishes
-    for densities constant along the Lorentz characteristics.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    grad_x = np.empty(4)
-    grad_y = np.empty(4)
-    for i in range(4):
-        dx = np.zeros(4)
-        dx[i] = h
-        grad_x[i] = (f(x + dx, y) - f(x - dx, y)) / (2.0 * h)
-        grad_y[i] = (f(x, y + dx) - f(x, y - dx)) / (2.0 * h)
-    acc = field.mixed(x) @ y
-    return float(y @ grad_x + acc @ grad_y)

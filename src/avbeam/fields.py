@@ -125,13 +125,12 @@ def from_potential(A, h=1e-4, name=None):
     return FaradayField(evaluator, name=name or f"d({A.name})", fd_step=h)
 
 
-def field_norm(field, x=None, bar=None):
-    """Observer-metric operator norm of the mixed tensor F^i_j at x."""
-    from .geometry import op_norm
-
+def field_norm(field, x=None):
+    """Lab-observer operator norm of the mixed tensor F^i_j at x: its
+    spectral norm."""
     if x is None:
         x = np.zeros(4)
-    return op_norm(field.mixed(x), bar)
+    return float(np.linalg.norm(field.mixed(x), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ variant
 
     residual / eta(V,V) + 1/2 (V . d log eta(V,V)) V,
 
-discrete Sobolev norms on a velocity grid, and the theoretical residual
-budget
+and the theoretical residual budget
 
     (vol_E^(1/2)(supp f) / vol(supp f)) <(y^0)^2>^(1/2)
         (sum_k ||d_0 log delta^k||_{0,2}) ||f||_{1,1} alpha^2  +  10 alpha^3
@@ -36,8 +35,8 @@ import numpy as np
 from .geometry import boost_to_rest, minkowski
 from .connections import averaged_table
 from .distribution import MomentSet, diameter_alpha
-from .dynamics import (IntegratorConfig, TransportedMoments, history_at,
-                       transport_ensemble, transport_ensemble_averaged)
+from .dynamics import (IntegratorConfig, history_at, transport_ensemble,
+                       transport_ensemble_averaged)
 
 #: Cells across the co-moving tube.
 DEFAULT_CELLS = 5
@@ -207,49 +206,21 @@ def noise_floor(field, ens, tau=0.05, h_tau=None, cfg=None,
 
 
 # ---------------------------------------------------------------------------
-# Discrete Sobolev norms on a velocity grid
+# Residual budget
 # ---------------------------------------------------------------------------
 
-def norm_1_1(values, spacing, measure=None):
+def norm_1_1(values, spacing):
     """|| f ||_{1,1} = integral of |f| + sum_k |d_k f| (midpoint rule).
 
     values: n-dimensional grid of cell-centred samples; spacing: per-axis
-    cell widths; measure: optional per-cell volume weights (defaults to the
-    product of spacings).
+    cell widths.
     """
     values = np.asarray(values, dtype=float)
-    dv = np.prod(spacing) if measure is None else np.asarray(measure, float)
+    dv = np.prod(spacing)
     total = np.abs(values)
     for k in range(values.ndim):
         total = total + np.abs(np.gradient(values, spacing[k], axis=k))
     return float(np.sum(total * dv))
-
-
-def norm_0_2(values, spacing, measure=None):
-    """|| g ||_{0,2} = (integral of |g|^2)^(1/2) (midpoint rule)."""
-    values = np.asarray(values, dtype=float)
-    dv = np.prod(spacing) if measure is None else np.asarray(measure, float)
-    return float(np.sqrt(np.sum(values ** 2 * dv)))
-
-
-@dataclass
-class SobolevEstimate:
-    lo: np.ndarray
-    hi: np.ndarray
-    grid_n: int
-    f_1_1: float
-    bins: int
-
-
-def sobolev_norms(density, spacing):
-    """Grid estimate of the W^{1,1} norm of a velocity-space density."""
-    density = np.asarray(density, dtype=float)
-    if np.any(density < 0):
-        raise ValueError("density must be nonnegative")
-    f11 = norm_1_1(density, spacing)
-    return SobolevEstimate(np.zeros(density.ndim), np.asarray(spacing, float)
-                           * np.asarray(density.shape),
-                           density.shape[0], f11, int(density.size))
 
 
 @dataclass
@@ -276,12 +247,13 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
     rest-frame velocities, delta^k(y) = <y>^k - y^k uses rest-frame
     components, and d_0 log |delta^k| is the rest-frame-time derivative at
     fixed grid velocity across adjacent slices.  For spatially constant
-    fields the adjacent means come from the exact moment transport, so the
-    time stencil can be made small enough that the mean's own motion does
-    not mask the deviation field; otherwise the nearest transported slices
-    are used.  alpha is the support diameter seen by the mean observer.
-    Degenerate (single-point) support returns a zero budget.  transport
-    names the advection as in residual.
+    fields the adjacent means come from the exact mean flow
+    <y>(tau) = expm(F tau) <y>(0), so the time stencil can be made small
+    enough that the mean's own motion does not mask the deviation field;
+    otherwise the nearest transported slices are used.  alpha is the
+    support diameter seen by the mean observer.  Degenerate (single-point)
+    support returns a zero budget.  transport names the advection as in
+    residual.
     """
     uniform = field.uniform
     if h_tau is None:
@@ -303,9 +275,11 @@ def bound_rhs(field, ens, tau=0.05, h_tau=None, cfg=None, grid_n=8,
                            np.zeros(4), 1.0, 0, 0.0)
 
     if uniform:
-        tm = TransportedMoments(field, ens.moments())
-        m_m = lam @ tm.at_tau(tau - h_tau).mean
-        m_p = lam @ tm.at_tau(tau + h_tau).mean
+        from scipy.linalg import expm
+
+        m0 = p @ ens.y
+        m_m = lam @ (expm(field.mixed0 * (tau - h_tau)) @ m0)
+        m_p = lam @ (expm(field.mixed0 * (tau + h_tau)) @ m0)
         # rest-frame time advanced by the centroid between the two slices
         dt = 2.0 * h_tau * np.sqrt(g)
     else:

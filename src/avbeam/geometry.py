@@ -1,20 +1,21 @@
-"""Minkowski metric machinery and observer-induced Riemannian norms.
+"""Minkowski metric and boosts to an observer's rest frame.
 
 The flat metric eta = diag(1,-1,-1,-1) acts on 4-vectors.  A unit timelike
-observer U turns it into a positive definite metric
+observer U turns it into the positive definite metric
 
-    eta_bar_U(X, Y) = -eta(X, Y) + 2 eta(X, U) eta(Y, U)
+    eta_bar_U(X, Y) = -eta(X, Y) + 2 eta(X, U) eta(Y, U).
 
-which is the metric used by every norm, diameter and distance in this
-package.  For the lab observer U = (1,0,0,0) it is the identity matrix.
+Every norm, diameter and distance in this package is measured by the lab
+observer U = (1,0,0,0), for which eta_bar is the identity: they are
+Euclidean norms of the components.  To measure for another observer u,
+boost to its rest frame first: with L = boost_to_rest(u), eta_bar_u = L^T L,
+so eta_bar_u distances are Euclidean distances of the boosted components.
 """
 
 import numpy as np
 
 # Flat Minkowski metric, signature (+,-,-,-).  Its own inverse.
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-LAB_OBSERVER = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def minkowski(x, y):
@@ -30,52 +31,6 @@ def lower(y):
     y = np.asarray(y, dtype=float)
     signs = np.array([1.0, -1.0, -1.0, -1.0])
     return y * signs
-
-
-def check_observer(U, tol=1e-10):
-    """Validate that U is a future-pointing unit timelike vector."""
-    U = np.asarray(U, dtype=float)
-    n = minkowski(U, U)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"observer must satisfy eta(U,U)=1, got {n!r}")
-    if U[0] <= 0:
-        raise ValueError("observer must be future pointing (U^0 > 0)")
-    return U
-
-
-def eta_bar(U=LAB_OBSERVER, metric=ETA):
-    """Positive definite observer metric as a 4x4 matrix.
-
-    eta_bar_ij = -eta_ij + 2 (eta U)_i (eta U)_j.
-    """
-    U = check_observer(U)
-    u_low = metric @ U
-    return -metric + 2.0 * np.outer(u_low, u_low)
-
-
-def bar_norm(X, bar=None):
-    """Norm of a (batch of) 4-vector(s) in the observer metric.
-
-    With bar=None the lab-frame metric (identity) is used, so this is the
-    Euclidean norm of the components.
-    """
-    X = np.asarray(X, dtype=float)
-    if bar is None:
-        return np.linalg.norm(X, axis=-1)
-    q = np.einsum("...i,ij,...j->...", X, bar, X)
-    return np.sqrt(np.maximum(q, 0.0))
-
-
-def sqrt_spd(bar):
-    """Symmetric square root B of a symmetric positive definite matrix.
-
-    B^T B = bar; used to express observer-metric operator norms through the
-    ordinary spectral norm.
-    """
-    w, V = np.linalg.eigh(np.asarray(bar, dtype=float))
-    if np.any(w <= 0):
-        raise ValueError("matrix is not positive definite")
-    return (V * np.sqrt(w)) @ V.T
 
 
 def boost_to_rest(u):
@@ -99,60 +54,3 @@ def boost_to_rest(u):
     L[0, 1:] = L[1:, 0] = -s * n
     L[1:, 1:] = np.eye(3) + (g - 1.0) * np.outer(n, n)
     return L
-
-
-def op_norm(A, bar=None):
-    """Operator norm sup_{y != 0} ||A y||_bar / ||y||_bar.
-
-    Computed exactly as the largest singular value of B A B^{-1} with
-    B the symmetric square root of the observer metric.
-    """
-    A = np.asarray(A, dtype=float)
-    if bar is None:
-        return float(np.linalg.norm(A, 2))
-    B = sqrt_spd(bar)
-    return float(np.linalg.norm(B @ A @ np.linalg.inv(B), 2))
-
-
-def hyperboloid_probes(n=64, seed=0, boost=0.0, spread=1.0):
-    """Quasi-random future unit-hyperboloid vectors for distance sampling.
-
-    Low-discrepancy (Halton) spatial velocities are lifted to the unit
-    hyperboloid; an optional boost along axis 1 recenters them.
-    """
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=3, scramble=True, seed=seed)
-    u = sampler.random(n)  # in [0,1)^3
-    v = spread * (2.0 * u - 1.0)
-    if boost:
-        # shift rapidity along axis 1
-        r = np.arcsinh(v[:, 0]) + boost
-        v = v.copy()
-        v[:, 0] = np.sinh(r)
-    y0 = np.sqrt(1.0 + np.sum(v * v, axis=1))
-    return np.column_stack([y0, v])
-
-
-def connection_distance(c1, c2, probes, bar=None, x=None):
-    """Sampled distance between two connections at a spacetime point.
-
-    max over probe vectors X of ||c1(X,X) - c2(X,X)||_bar / ||X||_bar, where
-    c(X,X) = Gamma^i_jk X^j X^k.  The probe set samples the support of the
-    distribution (plus quasi-random hyperboloid points); the result is a
-    lower approximation of the supremum over all vector fields.
-    """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if probes.size == 0:
-        raise ValueError("probe set must be nonempty")
-    if x is None:
-        x = np.zeros(4)
-    best = 0.0
-    for X in probes:
-        nX = bar_norm(X, bar)
-        if nX <= 0:
-            raise ValueError("probe with zero observer norm")
-        g1 = np.einsum("ijk,j,k->i", c1(x, X), X, X)
-        g2 = np.einsum("ijk,j,k->i", c2(x, X), X, X)
-        best = max(best, bar_norm(g1 - g2, bar) / nX)
-    return float(best)

@@ -252,10 +252,3 @@ def test_offset_grows_with_spread(dipole):
         rep = averaged_offset(dipole, ref, ms, (0.0, 1.0))
         ends.append(abs(rep.off1[-1]) + abs(rep.off3[-1]))
     assert ends[0] < ends[1] < ends[2]
-
-
-def test_offset_epsilon_override_and_modes(dipole):
-    ref, _ = reference_orbit(dipole)
-    zero_eps = averaged_offset(dipole, ref, delta_moments_along(ref),
-                               (0.0, 1.0), epsilon=lambda s: np.zeros(4))
-    assert np.max(np.abs(zero_eps.off1)) < 1e-12

@@ -79,6 +79,29 @@ def test_malformed_yaml_rejected(runner, tmp_path):
     assert res.exit_code == 2
 
 
+GAUSS_R_CAP = {"generator": "gaussian-cap", "n": 10, "seed": 1,
+               "params": {"r_cap": 0.1}}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("beamline", {"system": {"kind": "dipole"}, "tau_end": 1.0}, "rho"),
+    ("simulate", {"field": {"preset": "constant-B", "params": {"bogus": 1.0}},
+                  "y0": [1.0, 0.0, 0.0], "tau_end": 0.1}, "bogus"),
+    ("offset", {"field": {"preset": "normal-dipole"},
+                "ensemble": GAUSS_R_CAP, "tau_end": 0.1}, "r_cap"),
+    ("beamline", {"system": {"kind": "quadrupole",
+                             "params": {"b1": 1.0, "rho_typo": 2.0}},
+                  "tau_end": 1.0}, "rho_typo"),
+])
+def test_mismatched_params_rejected(runner, tmp_path, command, doc, key):
+    """A params key the field preset, generator or Hill system does not
+    take, or one it needs and does not get, is a schema violation that
+    names the key."""
+    res = invoke(runner, command, write_cfg(tmp_path, doc), tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert f"params/{key}" in res.output
+
+
 def test_dry_run_prints_plan(runner, tmp_path):
     cfg = write_cfg(tmp_path, VALIDITY_CFG)
     res = invoke(runner, "validity", cfg, tmp_path / "out", "--dry-run")

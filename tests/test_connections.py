@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from avbeam.connections import (AveragedConnection, LorentzConnection,
-                                TableConnection, TildeConnection,
-                                average_numeric, averaged_table,
-                                berwald_from_spray, curvature, difference,
-                                torsion)
+from avbeam.connections import (LorentzConnection, TableConnection,
+                                TildeConnection, average_numeric,
+                                averaged_table, berwald_from_spray,
+                                difference, torsion)
 from avbeam.distribution import MomentSet, rapidity_cap
 from avbeam.fields import make_preset
 from avbeam.geometry import minkowski
@@ -82,11 +81,10 @@ def test_torsion_zero_everywhere(field, rng):
     x = rng.normal(size=4)
     y = random_hyperboloid(rng)
     ens = rapidity_cap(50, r0=0.4, r_cap=0.1, seed=2)
-    for conn in (LorentzConnection(field), TildeConnection(field),
-                 AveragedConnection(field, ens.moments())):
-        t = (torsion(conn, x, y) if conn.kind != "averaged-lorentz"
-             else torsion(conn, x))
-        assert np.max(np.abs(t)) == 0.0
+    for conn in (LorentzConnection(field), TildeConnection(field)):
+        assert np.max(np.abs(torsion(conn, x, y))) == 0.0
+    averaged = TableConnection(averaged_table(field, x, ens.moments()))
+    assert np.max(np.abs(torsion(averaged, x))) == 0.0
 
 
 def test_averaged_equals_numeric_average(field):
@@ -106,13 +104,6 @@ def test_averaged_delta_collapses_to_pointwise(field, rng):
     closed = averaged_table(field, x, MomentSet.delta(y))
     point = LorentzConnection(field).coeffs(x, y)
     assert np.max(np.abs(closed - point)) < 1e-12
-
-
-def test_averaged_connection_callable_moments(field, small_cap):
-    ms = small_cap.moments()
-    conn = AveragedConnection(field, lambda x: ms)
-    x = np.zeros(4)
-    assert np.allclose(conn.coeffs(x), averaged_table(field, x, ms))
 
 
 def test_difference_decomposition_exact(field):
@@ -148,15 +139,3 @@ def test_difference_requires_on_shell(field):
     with pytest.raises(ValueError):
         difference(field, ens.moments(), np.zeros(4),
                    np.array([2.0, 0.0, 0.0, 0.0]))
-
-
-def test_curvature_zero_field():
-    conn = TableConnection(np.zeros((4, 4, 4)))
-    R = curvature(conn, np.zeros(4))
-    assert np.max(np.abs(R)) < 1e-12
-
-
-def test_curvature_antisymmetry(field, small_cap):
-    conn = AveragedConnection(field, small_cap.moments())
-    R = curvature(conn, np.array([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(R, -np.transpose(R, (0, 1, 3, 2)), atol=1e-8)

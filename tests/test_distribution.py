@@ -9,7 +9,7 @@ from avbeam.distribution import (CSV_HEADER, Ensemble, MomentSet,
                                  delta_ensemble, diameter_alpha, dump_csv,
                                  dumps_csv, gaussian_cap, lift, load_csv,
                                  rapidity_cap)
-from avbeam.geometry import eta_bar, minkowski, sqrt_spd
+from avbeam.geometry import ETA, boost_to_rest, minkowski
 
 
 def brute_diameter(y, block=500):
@@ -123,13 +123,18 @@ def test_non_finite_input_fails_loudly():
         diameter_alpha(y)
 
 
-def test_alpha_observer_metric(rng, small_cap):
+def test_alpha_observer_metric(small_cap):
+    """alpha for the mean observer u is diameter_alpha of the samples
+    boosted to u's rest frame: the brute-force eta_bar_u diameter, with
+    eta_bar_u = -eta + 2 u_low u_low."""
     u = small_cap.moments().mean
     u = u / np.sqrt(minkowski(u, u))
-    bar = eta_bar(u)
-    a = small_cap.alpha(bar)
-    assert a == pytest.approx(brute_diameter(small_cap.y @ sqrt_spd(bar).T),
-                              rel=1e-12)
+    a = diameter_alpha(small_cap.y @ boost_to_rest(u).T)
+    u_low = ETA @ u
+    bar = -ETA + 2.0 * np.outer(u_low, u_low)
+    d = small_cap.y[:, None, :] - small_cap.y[None, :, :]
+    brute = np.sqrt(np.max(np.einsum("abi,ij,abj->ab", d, bar, d)))
+    assert a == pytest.approx(brute, rel=1e-12)
     # comoving diameter of an isotropic cap ~ 2 r_cap regardless of boost
     assert a == pytest.approx(2 * 0.05, rel=0.15)
 
@@ -157,10 +162,16 @@ def test_gaussian_cap_truncation():
     assert np.max(r) <= 2.5 * 0.02 + 1e-12
 
 
-def test_deltas_sum_to_zero(small_cap):
-    d = small_cap.deltas()
-    p = small_cap.w / small_cap.w.sum()
-    assert np.allclose(p @ d, 0.0, atol=1e-14)
+def test_ensemble_rejects_inconsistent_shapes():
+    """x and y must be (n, 4) after the one-row broadcast of x, and w (n,);
+    with_state (check=False) leaves its arrays unchecked."""
+    ens = rapidity_cap(5, r_cap=0.1, seed=0)
+    for x, w in ((np.zeros((3, 4)), None), (np.zeros(4), np.ones(3)),
+                 (np.zeros((5, 3)), None)):
+        with pytest.raises(ValueError, match=r"must be \(n, 4\)"):
+            Ensemble(x, ens.y, w)
+    assert len(Ensemble(np.zeros(4), ens.y, np.ones(5))) == 5
+    assert ens.with_state(np.zeros((3, 4)), ens.y).x.shape == (3, 4)
 
 
 def test_csv_round_trip(small_cap, tmp_path):

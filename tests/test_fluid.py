@@ -4,8 +4,8 @@ import pytest
 from avbeam.distribution import Ensemble, delta_ensemble, lift, rapidity_cap
 from avbeam.dynamics import IntegratorConfig
 from avbeam.fields import make_preset, zero_field
-from avbeam.fluid import (bound_rhs, mean_field, noise_floor, norm_0_2,
-                          norm_1_1, residual, sobolev_norms)
+from avbeam.fluid import (bound_rhs, mean_field, noise_floor, norm_1_1,
+                          residual)
 from avbeam.geometry import minkowski
 
 
@@ -80,21 +80,6 @@ def test_norm_1_1_gaussian_closed_form():
     f2 = np.exp(-0.5 * (X2 ** 2 + Y2 ** 2 + Z2 ** 2)) / (2 * np.pi) ** 1.5
     got2 = norm_1_1(f2, (10.0 / n2,) * 3)
     assert abs(got - exact) < abs(got2 - exact)
-
-
-def test_norm_0_2_constant_oracle():
-    f = np.full((4, 4, 4), 3.0)
-    # ||3||_{0,2} over a box of volume 8 = 3 sqrt(8)
-    assert norm_0_2(f, (0.5, 0.5, 0.5)) == pytest.approx(3.0 * np.sqrt(8.0))
-
-
-def test_sobolev_norms_contract():
-    f = np.ones((8, 8, 8))
-    est = sobolev_norms(f, (0.1, 0.1, 0.1))
-    assert est.f_1_1 > 0
-    assert est.bins == 512
-    with pytest.raises(ValueError):
-        sobolev_norms(-f, (0.1, 0.1, 0.1))
 
 
 def test_residual_free_streaming_small():
